@@ -21,6 +21,7 @@ from .bounds import (
     BoundVector,
     FineGrainedBound,
     fine_grained_bound,
+    fine_grained_bound_map,
     fine_grained_bound_product,
     fingerprint_povms,
     maassen_uffink,

@@ -20,6 +20,7 @@ numerical error can only weaken a detection, never fabricate one.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -327,6 +328,15 @@ def fine_grained_bound(meas: Sequence[Povm], outcome_string: Sequence[str],
         method=EIGEN_EXACT,
         certified_slack=0.0,
     )
+
+
+def fine_grained_bound_map(meas: Sequence[Povm],
+                           priors: ProbVec) -> dict[tuple[str, ...], FineGrainedBound]:
+    """Exact fine-grained bounds for every outcome string of ``meas``."""
+    return {
+        labels: fine_grained_bound(meas, labels, priors)
+        for labels in itertools.product(*(p.outcome_labels for p in meas))
+    }
 
 
 def setting_pairs(n_a: int, n_b: int) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -25,7 +24,7 @@ from .assemblage import (
 )
 from .bounds import (
     BoundVector,
-    fine_grained_bound,
+    fine_grained_bound_map,
     fine_grained_bound_product,
     matched_outcome_events,
     omega_numeric,
@@ -235,15 +234,7 @@ def _run_steering(config: dict, restarts: int, seed: int) -> list[DetectionRepor
         bob_povms = _as_povms(bob)
         outcomes = tuple(str(o) for o in _config_field(config, "outcomes", "fine-grained steering"))
         priors = ProbVec(config["priors"]) if "priors" in config else uniform(len(bob_povms))
-        label_sets = [p.outcome_labels for p in bob_povms]
-        n_strings = int(np.prod([len(ls) for ls in label_sets]))
-        if n_strings <= 256:
-            bounds = {
-                strings: fine_grained_bound(bob_povms, strings, priors)
-                for strings in itertools.product(*label_sets)
-            }
-        else:
-            bounds = fine_grained_bound(bob_povms, outcomes, priors)
+        bounds = fine_grained_bound_map(bob_povms, priors)
         return steering_fine_grained(asm, bob_povms, outcomes, priors, bounds)
     raise ConfigParse(f"unknown steering flavor {flavor!r}")
 
@@ -326,10 +317,7 @@ def _run_scan(config: dict, restarts: int, seed: int):
         bob_povms = _as_povms(_parse_measurements(_config_field(meas, "bob", "scan")))
         outcomes = tuple(str(o) for o in _config_field(config, "outcomes", "scan"))
         priors = ProbVec(config["priors"]) if "priors" in config else uniform(len(bob_povms))
-        bounds = {
-            strings: fine_grained_bound(bob_povms, strings, priors)
-            for strings in itertools.product(*(p.outcome_labels for p in bob_povms))
-        }
+        bounds = fine_grained_bound_map(bob_povms, priors)
 
         def criterion(param: float) -> DetectionReport:
             reports = steering_fine_grained(

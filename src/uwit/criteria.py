@@ -13,8 +13,10 @@ column given by Bob's outcome string and Alice's announced string, the score
 sums the joint probabilities of all translated matches.  Conditioning each
 term on a single announced outcome instead (the face-value reading of the
 per-column inequality) is not sound against adversarial local-hidden-state
-models, while the matching game is bounded by the largest fine-grained bound
-over the reachable outcome strings for every such model.
+models.  A local-hidden-state model picks Alice's announcement separately
+for each setting, so a column can reach every one of Bob's outcome strings;
+the sound bound is therefore one number, the largest fine-grained bound over
+all of Bob's outcome strings, whatever the column or the configured string.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bounds import (
     BoundVector,
     FineGrainedBound,
     _pair_events,
-    fine_grained_bound,
+    fine_grained_bound_map,
     fingerprint_povms,
     observable_fingerprint,
     setting_pairs,
@@ -194,11 +196,13 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
     )
 
 
-def _check_fine_grained_bound(bound: FineGrainedBound, bob_meas: Sequence[Povm],
-                              priors_bob: ProbVec) -> None:
-    expected = fingerprint_povms(bob_meas, extra="|".join(bound.outcome_string))
+def _check_fine_grained_bound(bound: FineGrainedBound, labels: tuple[str, ...],
+                              bob_meas: Sequence[Povm], priors_bob: ProbVec) -> None:
+    expected = fingerprint_povms(bob_meas, extra="|".join(labels))
     if bound.measurement_fingerprint != expected:
-        raise FingerprintMismatch("bound was not generated from Bob's measurements")
+        raise FingerprintMismatch(
+            f"bound for {labels} was not generated from Bob's measurements and that string"
+        )
     if bound.priors.dim != priors_bob.dim or not np.allclose(
         bound.priors.values, priors_bob.values, atol=1e-12
     ):
@@ -213,12 +217,13 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     Bob's measurement i is paired with Alice's setting i.  For the column
     with Alice string a' (and the configured Bob string a), the score is the
     prior-weighted joint probability that Bob's outcome matches Alice's
-    announcement under the translation aligning a'_i with a_i.  Violating
+    announcement under the translation aligning a'_i with a_i.  Exceeding
     the fine-grained bound certifies steering.
 
-    ``bounds`` is a single :class:`FineGrainedBound` or a mapping from Bob
-    outcome-string tuples to bounds; each column is checked against the
-    largest bound over the outcome strings its matching game can reach.
+    ``bounds`` maps every one of Bob's outcome strings (tuples of labels) to
+    its :class:`FineGrainedBound`, as :func:`fine_grained_bound_map` builds
+    it.  A local-hidden-state model reaches any string in any column, so
+    every column is checked against the largest of these bounds.
     """
     m = len(bob_meas)
     if len(asm.settings) != m:
@@ -235,32 +240,23 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
             raise DimensionMismatch(
                 "matching game needs Alice outcome counts equal to Bob's"
             )
-    bob_idx = [bob_meas[i].outcome_labels.index(str(outcomes[i])) for i in range(m)]
+    bob_idx = []
+    for povm, label in zip(bob_meas, outcomes):
+        if str(label) not in povm.outcome_labels:
+            raise BadParameter(f"unknown outcome {label!r}; known labels {povm.outcome_labels}")
+        bob_idx.append(povm.outcome_labels.index(str(label)))
 
-    if isinstance(bounds, FineGrainedBound):
-        bound_map = None
-        single = bounds
-        _check_fine_grained_bound(single, bob_meas, priors_bob)
-    else:
-        bound_map = {tuple(k): v for k, v in bounds.items()}
-        single = None
-        for b in bound_map.values():
-            _check_fine_grained_bound(b, bob_meas, priors_bob)
-
-    def column_bound() -> tuple[float, bool]:
-        if single is not None:
-            return single.value, single.certified
-        used = []
-        for t in range(d):
-            shifted = tuple(
-                bob_meas[i].outcome_labels[(bob_idx[i] + t) % d] for i in range(m)
-            )
-            if shifted not in bound_map:
-                raise BadParameter(f"no bound supplied for reachable outcome string {shifted}")
-            used.append(bound_map[shifted])
-        return max(b.value for b in used), all(b.certified for b in used)
-
-    bound_value, certified = column_bound()
+    if not isinstance(bounds, Mapping):
+        raise BadParameter("bounds must map every Bob outcome string to its bound")
+    bound_map = {tuple(k): v for k, v in bounds.items()}
+    used = []
+    for labels in itertools.product(*(p.outcome_labels for p in bob_meas)):
+        if labels not in bound_map:
+            raise BadParameter(f"no bound supplied for outcome string {labels}")
+        _check_fine_grained_bound(bound_map[labels], labels, bob_meas, priors_bob)
+        used.append(bound_map[labels])
+    bound_value = max(b.value for b in used)
+    certified = all(b.certified for b in used)
     reports: list[DetectionReport] = []
     alice_label_sets = [asm.outcomes[asm.settings[i]] for i in range(m)]
     for alice_string in itertools.product(*(range(d) for _ in range(m))):
@@ -299,7 +295,8 @@ def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
     Enumerates every sign combination of Alice and Bob outcome strings for
     the configured measurement directions (Bob defaults to x and z), scoring
     each column as the prior-weighted matched-outcome probability obtained
-    from the spatial block of the tensor.  Reproduces the state-path
+    from the spatial block of the tensor, against the largest fine-grained
+    bound over all of Bob's outcome strings.  Reproduces the state-path
     evaluation without reconstructing the state.
     """
     t = np.asarray(t, dtype=float)
@@ -325,15 +322,10 @@ def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
     correlators = [float(alice[i] @ spatial @ bob[i]) for i in range(m)]
 
     bob_povms = [bloch_observable(tuple(r)).povm() for r in bob]
-    bound_cache: dict[tuple[int, ...], FineGrainedBound] = {}
-    for bob_string in itertools.product((0, 1), repeat=m):
-        labels = tuple(bob_povms[i].outcome_labels[bob_string[i]] for i in range(m))
-        bound_cache[bob_string] = fine_grained_bound(bob_povms, labels, priors)
+    bound_value = max(b.value for b in fine_grained_bound_map(bob_povms, priors).values())
 
     reports: list[DetectionReport] = []
     for bob_string in itertools.product((0, 1), repeat=m):
-        flipped = tuple(1 - s for s in bob_string)
-        bound_value = max(bound_cache[bob_string].value, bound_cache[flipped].value)
         for alice_string in itertools.product((0, 1), repeat=m):
             lhs = sum(
                 priors.values[i]

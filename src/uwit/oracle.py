@@ -5,7 +5,7 @@ paths: random-state censuses quantify violations of majorization bounds,
 dense grids re-derive eigenvalue bounds and top-k maxima from below, and
 family scans locate detection thresholds by bisection.  The pseudorandom
 generator is numpy's default PCG64, seeded explicitly, so every census and
-scan is reproducible across runs and worker counts.
+scan is reproducible across runs.
 """
 
 from __future__ import annotations

@@ -1,35 +1,16 @@
-"""Optional worker fan-out controlled by the UW_THREADS environment variable.
+"""Serial map over optimizer restarts and census samples.
 
-UW_THREADS unset or 1 runs serially; 0 means one worker per CPU; any other
-positive integer is used as given.  Callers only combine results with
-order-independent reductions (max, sum, count), so the outcome is identical
-for every worker count.
+The per-layer tracer in ``perfbench`` charges the work of the mapped
+closures to ``parallel_map``, so it stays a named call.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count() -> int:
-    raw = os.environ.get("UW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -30,7 +30,10 @@ class ProbVec:
     __slots__ = ("_values",)
 
     def __init__(self, raw: Sequence[float] | np.ndarray):
-        values = np.asarray(raw, dtype=float)
+        try:
+            values = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            raise NotADistribution(f"probabilities must be numbers, got {raw!r}") from None
         if values.ndim != 1 or values.size == 0:
             raise NotADistribution("expected a nonempty 1-d sequence of probabilities")
         if not np.all(np.isfinite(values)):

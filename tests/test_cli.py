@@ -3,8 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from uwit import assemblage_to_config, bell_phi_plus, pauli_observable, steer
+from uwit import (
+    DensityState,
+    Povm,
+    assemblage_to_config,
+    bell_phi_plus,
+    fine_grained_bound,
+    fine_grained_bound_map,
+    lhs_assemblage,
+    observable_from_matrix,
+    pauli_observable,
+    steer,
+    uniform,
+)
 from uwit.assemblage import matrix_to_json
+from uwit.quantum import projector
 from uwit.cli import PRESETS, load_config, main, run
 from uwit.errors import ConfigParse
 
@@ -13,6 +26,40 @@ def write_config(tmp_path, config, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def witness_steering_config(bob_specs, bob_povms, outcomes, witness_string):
+    """Fine-grained steering config on an LHS assemblage with one hidden state.
+
+    The hidden state sits at the witness of ``witness_string``'s bound and
+    Alice always announces outcome 0, so some column reaches that bound.
+    """
+    bound = fine_grained_bound(bob_povms, witness_string, uniform(len(bob_povms)))
+    n = bob_povms[0].n_outcomes
+    asm = lhs_assemblage(
+        [(1.0, DensityState(projector(bound.operator_norm_witness)))],
+        [[[1.0] + [0.0] * (n - 1)] * len(bob_povms)],
+    )
+    return {
+        "scenario_kind": "steering",
+        "flavor": "fine_grained",
+        "assemblage": assemblage_to_config(asm),
+        "measurements": {"bob": bob_specs},
+        "outcomes": list(outcomes),
+    }
+
+
+def fine_grained_scan_config(outcomes):
+    return {
+        "scenario_kind": "scan",
+        "measurements": {"alice": ["pauli_x", "pauli_z"], "bob": ["pauli_x", "pauli_z"]},
+        "outcomes": outcomes,
+        "scan": {
+            "family": "werner",
+            "criterion": "steering_fine_grained",
+            "grid": {"start": 0.0, "stop": 1.0, "step": 0.25},
+        },
+    }
 
 
 class TestPresets:
@@ -144,6 +191,36 @@ class TestScenarios:
         )
         assert run(path, quiet=True, restarts=16) == 2
 
+    def test_witness_lhs_qubit_not_detected(self, tmp_path):
+        # sigma_z and the xz-plane axis at 120 degrees: the strings have unequal bounds
+        angle = 2 * np.pi / 3
+        matrices = [
+            np.array([[1, 0], [0, -1]], dtype=complex),
+            np.array([[np.cos(angle), np.sin(angle)], [np.sin(angle), -np.cos(angle)]],
+                     dtype=complex),
+        ]
+        bob = [observable_from_matrix(m).povm() for m in matrices]
+        specs = [{"observable": matrix_to_json(m)} for m in matrices]
+        config = witness_steering_config(specs, bob, ("1", "1"), ("1", "-1"))
+        assert run(write_config(tmp_path, config), quiet=True) == 0
+
+    def test_witness_lhs_six_qutrit_settings_not_detected(self, tmp_path):
+        # 3^6 = 729 outcome strings; the configured string has the smallest
+        # bound and the hidden state sits at the witness of the largest
+        rng = np.random.default_rng(68)
+        bob, specs = [], []
+        for _ in range(6):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            effects = [projector(q[:, k]) for k in range(3)]
+            bob.append(Povm(tuple(effects), ("0", "1", "2")))
+            specs.append({"effects": [matrix_to_json(e) for e in effects],
+                          "labels": ["0", "1", "2"]})
+        bounds = fine_grained_bound_map(bob, uniform(6))
+        weakest = min(bounds, key=lambda s: bounds[s].value)
+        strongest = max(bounds, key=lambda s: bounds[s].value)
+        config = witness_steering_config(specs, bob, weakest, strongest)
+        assert run(write_config(tmp_path, config), quiet=True) == 0
+
     def test_assemblage_ingestion(self, tmp_path):
         sx, sy = pauli_observable("x"), pauli_observable("y")
         asm = steer(bell_phi_plus(), [sx.povm(), sy.povm()])
@@ -244,6 +321,43 @@ class TestErrors:
                     "y": ["pauli_x", "pauli_y"],
                 },
                 "quantifier": "shannon",
+            },
+        )
+        assert main([path]) == 1
+
+    def test_unknown_outcome_label_steering(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "scenario_kind": "steering",
+                "flavor": "fine_grained",
+                "state": "bell_phi_plus",
+                "measurements": {
+                    "alice": ["pauli_x", "pauli_z"],
+                    "bob": ["pauli_x", "pauli_z"],
+                },
+                "outcomes": ["+", "2"],
+            },
+        )
+        assert main([path]) == 1
+
+    def test_unknown_outcome_label_scan(self, tmp_path):
+        path = write_config(tmp_path, fine_grained_scan_config(["+", "2"]))
+        assert main([path]) == 1
+
+    def test_non_numeric_priors(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "scenario_kind": "steering",
+                "flavor": "fine_grained",
+                "state": "bell_phi_plus",
+                "measurements": {
+                    "alice": ["pauli_x", "pauli_z"],
+                    "bob": ["pauli_x", "pauli_z"],
+                },
+                "outcomes": ["+", "0"],
+                "priors": ["half", "half"],
             },
         )
         assert main([path]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uwit import (
+    BadParameter,
     DensityState,
     FingerprintMismatch,
     UnsoundQuantifier,
@@ -13,7 +14,7 @@ from uwit import (
     correlation_tensor,
     entanglement_fine_grained,
     entanglement_universal,
-    fine_grained_bound,
+    fine_grained_bound_map,
     fine_grained_bound_product,
     get_quantifier,
     kron_state,
@@ -23,6 +24,8 @@ from uwit import (
     maximally_mixed,
     omega_two_dichotomic,
     pauli_observable,
+    Povm,
+    bloch_observable,
     steer,
     steering_fine_grained,
     steering_fine_grained_tensor,
@@ -45,10 +48,23 @@ HALF = make_probvec((0.5, 0.5))
 
 
 def xz_bound_map():
-    return {
-        labels: fine_grained_bound(XZ_POVMS, labels, HALF)
-        for labels in itertools.product(SX.povm().outcome_labels, SZ.povm().outcome_labels)
-    }
+    return fine_grained_bound_map(XZ_POVMS, HALF)
+
+
+def qubit_z_and_120_povms():
+    """Bob's sigma_z and the xz-plane axis at 120 degrees from it: not mutually unbiased."""
+    angle = 2 * np.pi / 3
+    return [SZ.povm(), bloch_observable((np.sin(angle), 0.0, np.cos(angle))).povm()]
+
+
+def random_qutrit_basis_povms(seed):
+    rng = np.random.default_rng(seed)
+    povms = []
+    for _ in range(2):
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        q, _ = np.linalg.qr(z)
+        povms.append(Povm(tuple(projector(q[:, k]) for k in range(3)), ("0", "1", "2")))
+    return povms
 
 
 def binary_entropy(p):
@@ -224,12 +240,32 @@ class TestSteeringFineGrained:
         reports = steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, xz_bound_map())
         assert max(r.lhs_value for r in reports) == pytest.approx(0.75, abs=1e-9)
         assert not any(r.detected for r in reports)
+        # one hidden state at the witness of any outcome string reaches that
+        # string's bound in some column, so only the maximum over all strings
+        # is sound; Bob's x/z cannot show it, as all its strings share one bound
+        for bob in (qubit_z_and_120_povms(), random_qutrit_basis_povms(66)):
+            priors = uniform(len(bob))
+            bounds = fine_grained_bound_map(bob, priors)
+            configured = tuple(p.outcome_labels[0] for p in bob)
+            announce_first = [[1.0] + [0.0] * (bob[0].n_outcomes - 1)] * len(bob)
+            for bound in bounds.values():
+                hidden = DensityState(projector(bound.operator_norm_witness))
+                asm = lhs_assemblage([(1.0, hidden)], [announce_first])
+                reports = steering_fine_grained(asm, bob, configured, priors, bounds)
+                assert not any(r.detected for r in reports)
+                assert max(r.lhs_value for r in reports) == pytest.approx(bound.value, abs=1e-9)
 
-    def test_single_bound_accepted(self):
+    def test_missing_outcome_string_rejected(self):
         asm = steer(bell_phi_plus(), XZ_POVMS)
-        single = fine_grained_bound(XZ_POVMS, ("+", "0"), HALF)
-        reports = steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, single)
-        assert any(r.detected for r in reports)
+        bounds = xz_bound_map()
+        del bounds[("-", "1")]
+        with pytest.raises(BadParameter, match=r"\('-', '1'\)"):
+            steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
+
+    def test_unknown_outcome_label_rejected(self):
+        asm = steer(bell_phi_plus(), XZ_POVMS)
+        with pytest.raises(BadParameter, match="unknown outcome"):
+            steering_fine_grained(asm, XZ_POVMS, ("+", "2"), HALF, xz_bound_map())
 
 
 class TestSteeringTensorPath:
@@ -266,6 +302,25 @@ class TestSteeringTensorPath:
                 ]
                 for sr, tr in zip(state_reports, matching):
                     assert sr.lhs_value == pytest.approx(tr.lhs_value, abs=1e-8)
+
+    def test_product_states_never_detected(self):
+        rng = np.random.default_rng(67)
+
+        def unit():
+            v = rng.normal(size=3)
+            return v / np.linalg.norm(v)
+
+        for _ in range(200):
+            a, b = unit(), unit()
+            # pure product state with Bloch vectors a and b
+            state = kron_state(
+                DensityState(bloch_observable(a).projectors[0]),
+                DensityState(bloch_observable(b).projectors[0]),
+            )
+            reports = steering_fine_grained_tensor(
+                correlation_tensor(state), [unit(), unit()], [unit(), unit()]
+            )
+            assert not any(r.detected for r in reports)
 
     def test_direction_validation(self):
         from uwit import BadParameter

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -65,24 +61,6 @@ class TestCensus:
         a = verify_majorization_bound(bound, [SX.povm(), SY.povm()], 300, seed=10)
         b = verify_majorization_bound(bound, [SX.povm(), SY.povm()], 300, seed=10)
         assert a == b
-
-    def test_worker_count_invariance(self):
-        code = (
-            "from uwit import verify_majorization_bound, omega_two_dichotomic, pauli_observable\n"
-            "sx, sy = pauli_observable('x'), pauli_observable('y')\n"
-            "b = omega_two_dichotomic(sx, sy)\n"
-            "c = verify_majorization_bound(b, [sx.povm(), sy.povm()], 200, seed=4)\n"
-            "print(c.violations, repr(c.worst_margin))\n"
-        )
-        outputs = []
-        for threads in ("1", "4"):
-            env = dict(os.environ, UW_THREADS=threads)
-            result = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert result.returncode == 0, result.stderr
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1]
 
 
 class TestBruteForce:

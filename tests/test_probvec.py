@@ -45,6 +45,10 @@ class TestConstruction:
         with pytest.raises(NotADistribution):
             make_probvec(())
 
+    def test_rejects_non_numeric(self):
+        with pytest.raises(NotADistribution):
+            make_probvec(("half", "half"))
+
 
 class TestSortAndTensor:
     def test_sort(self):
