@@ -33,6 +33,8 @@ class Assemblage:
     bob_dim: int
 
     def __post_init__(self):
+        if not self.settings or self.bob_dim < 1:
+            raise BadParameter("an assemblage needs at least one setting and bob_dim >= 1")
         sums = {}
         for setting in self.settings:
             total = np.zeros((self.bob_dim, self.bob_dim), dtype=complex)
@@ -173,9 +175,9 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def matrix_from_json(data) -> np.ndarray:
     try:
         rows = [[complex(cell[0], cell[1]) for cell in row] for row in data]
-    except (TypeError, IndexError):
-        raise BadParameter("matrix entries must be [re, im] pairs") from None
-    return np.array(rows, dtype=complex)
+        return np.array(rows, dtype=complex)
+    except (TypeError, IndexError, ValueError):
+        raise BadParameter("a matrix must be equal-length rows of [re, im] pairs") from None
 
 
 def assemblage_to_config(asm: Assemblage) -> dict:
@@ -199,15 +201,18 @@ def assemblage_from_config(data: dict) -> Assemblage:
     try:
         bob_dim = int(data["bob_dim"])
         settings = tuple(int(s) for s in data["settings"])
-        raw_elements = data["elements"]
+        entries = [(int(e["setting"]), str(e["outcome"]), e["operator"]) for e in data["elements"]]
     except (KeyError, TypeError, ValueError):
-        raise BadParameter("assemblage config needs bob_dim, settings and elements") from None
+        raise BadParameter(
+            "assemblage config needs bob_dim, settings and elements, "
+            "each with setting, outcome and operator"
+        ) from None
     elements: dict[tuple[int, str], np.ndarray] = {}
     outcomes: dict[int, list[str]] = {s: [] for s in settings}
-    for entry in raw_elements:
-        setting = int(entry["setting"])
-        outcome = str(entry["outcome"])
-        elements[(setting, outcome)] = matrix_from_json(entry["operator"])
+    for setting, outcome, operator in entries:
+        if setting not in outcomes:
+            raise BadParameter(f"element setting {setting} is not listed in settings")
+        elements[(setting, outcome)] = matrix_from_json(operator)
         outcomes[setting].append(outcome)
     return Assemblage(
         elements, settings, {s: tuple(o) for s, o in outcomes.items()}, bob_dim

@@ -364,10 +364,10 @@ def _pair_events(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
         if len(b_string) != len(meas_b):
             raise DimensionMismatch("one outcome per measurement is required on each side")
         return [[(str(a_string[i]), str(b_string[j]))] for i, j in pairs]
-    events = [[(str(a), str(b)) for a, b in event] for event in outcomes]
-    if len(events) != len(pairs):
+    events = [[tuple(str(label) for label in pair) for pair in event] for event in outcomes]
+    if len(events) != len(pairs) or any(len(pair) != 2 for event in events for pair in event):
         raise DimensionMismatch(
-            f"expected {len(pairs)} per-pair events (row-major), got {len(events)}"
+            f"expected {len(pairs)} per-pair events (row-major) of (a, b) label pairs"
         )
     return events
 

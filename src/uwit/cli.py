@@ -3,6 +3,12 @@
 Exit codes: 0 = ran, nothing detected; 2 = ran, detection (certified bounds
 only); 1 = error.  Text goes to stdout with six decimal places; --json and
 --csv write machine-readable reports with full precision.
+
+Config values are read only through ``_field`` and ``name:arg:...``
+references only through ``_ref``; both raise ConfigParse, so a malformed
+config exits 1 with a one-line message.  ``_CRITERIA`` holds one builder per
+criterion, shared by scenarios and scans: it parses its measurements and
+computes its bounds once, then returns a function that evaluates one state.
 """
 
 from __future__ import annotations
@@ -10,18 +16,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import operator
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .assemblage import (
-    Assemblage,
-    assemblage_from_config,
-    matrix_from_json,
-    steer,
-)
+from .assemblage import assemblage_from_config, matrix_from_json, steer
 from .bounds import (
     BoundVector,
     fine_grained_bound_map,
@@ -40,7 +43,13 @@ from .criteria import (
     steering_universal,
 )
 from .errors import ConfigParse, UwitError
-from .oracle import brute_force_topk, scan_to_csv, threshold_scan, verify_majorization_bound
+from .oracle import (
+    ScanResult,
+    brute_force_topk,
+    scan_to_csv,
+    threshold_scan,
+    verify_majorization_bound,
+)
 from .probvec import ProbVec, uniform
 from .quantifier import get_quantifier
 from .quantum import (
@@ -48,6 +57,7 @@ from .quantum import (
     Observable,
     Povm,
     bell_phi_plus,
+    correlation_tensor,
     isotropic,
     maximally_mixed,
     mub_bases,
@@ -80,255 +90,229 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _parse_state(spec) -> DensityState:
+_REQUIRED = object()
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _convert(value, kind, where: str):
+    """``kind(value)``, or a type check when ``kind`` is a JSON container type."""
+    if kind in _JSON_TYPES:
+        if isinstance(value, kind):
+            return value
+        raise ConfigParse(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigParse(f"{where} has a malformed value {value!r}") from None
+
+
+def _field(cfg, key: str, kind=None, default=_REQUIRED):
+    """Read ``cfg[key]`` through ``kind``; every config value is read here."""
+    if not isinstance(cfg, dict):
+        raise ConfigParse(f"expected an object with a {key!r} field, got {cfg!r}")
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigParse(f"config needs a {key!r} field")
+        return default
+    return cfg[key] if kind is None else _convert(cfg[key], kind, f"field {key!r}")
+
+
+def _ref(spec, table: dict, what: str):
+    """Build a ``name:arg:...`` reference from ``table[name] = (builder, required, *kinds)``."""
+    name, *args = _convert(spec, str, what).split(":")
+    if name not in table:
+        raise ConfigParse(f"unknown {what} {spec!r}")
+    build, required, *kinds = table[name]
+    if not required <= len(args) <= len(kinds):
+        raise ConfigParse(f"{what} {spec!r} has the wrong number of arguments")
+    return build(*(_convert(arg, kind, f"{what} {spec!r}") for kind, arg in zip(kinds, args)))
+
+
+def _maximally_mixed(d: int = 4) -> DensityState:
+    root = math.isqrt(max(d, 0))
+    return maximally_mixed(d, dims=(root, root) if root * root == d else None)
+
+
+_STATES = {
+    "bell_phi_plus": (bell_phi_plus, 0),
+    "maximally_mixed": (_maximally_mixed, 0, int),
+    "werner": (werner, 1, float),
+    "isotropic": (isotropic, 2, int, float),
+}
+_FAMILIES = {
+    "werner": (lambda: werner, 0),
+    "isotropic": (lambda d=2: lambda f: isotropic(d, f), 0, int),
+}
+_MEASUREMENT_SETS = {"mub": (mub_bases, 2, int, int)}
+_PAULIS = ("pauli_x", "pauli_y", "pauli_z")
+
+
+def _dims(value) -> tuple[int, int]:
+    da, db = map(operator.index, value)
+    return da, db
+
+
+def _vectors(value) -> list[np.ndarray]:
+    return list(np.asarray(value, dtype=float))
+
+
+def _state(spec) -> DensityState:
     if isinstance(spec, dict):
-        try:
-            matrix = matrix_from_json(spec["matrix"])
-        except KeyError:
-            raise ConfigParse("inline state needs a 'matrix' field of [re, im] entries") from None
-        dims = tuple(spec["dims"]) if "dims" in spec else None
-        return DensityState(matrix, dims=dims)
-    if not isinstance(spec, str):
-        raise ConfigParse(f"cannot parse state specification {spec!r}")
-    name, *args = spec.split(":")
-    if name == "bell_phi_plus":
-        return bell_phi_plus()
-    if name == "maximally_mixed":
-        d = int(args[0]) if args else 4
-        dims = (int(np.sqrt(d)), int(np.sqrt(d))) if int(np.sqrt(d)) ** 2 == d else None
-        return maximally_mixed(d, dims=dims)
-    if name == "werner":
-        return werner(float(args[0]))
-    if name == "isotropic":
-        return isotropic(int(args[0]), float(args[1]))
-    raise ConfigParse(f"unknown state family {spec!r}")
+        matrix = matrix_from_json(_field(spec, "matrix"))
+        return DensityState(matrix, dims=_field(spec, "dims", _dims, None))
+    return _ref(spec, _STATES, "state")
 
 
-def _parse_measurements(spec) -> list[Observable | Povm]:
-    if isinstance(spec, str):
-        name, *args = spec.split(":")
-        if name == "mub":
-            return list(mub_bases(int(args[0]), int(args[1])))
-        spec = [spec]
-    if not isinstance(spec, list):
-        raise ConfigParse(f"cannot parse measurement list {spec!r}")
+def _measurements(spec) -> list[Observable | Povm]:
+    if isinstance(spec, str) and spec not in _PAULIS:
+        return list(_ref(spec, _MEASUREMENT_SETS, "measurement set"))
     out: list[Observable | Povm] = []
-    for item in spec:
-        if isinstance(item, str):
-            if item in ("pauli_x", "pauli_y", "pauli_z"):
-                out.append(pauli_observable(item[-1]))
-            else:
-                raise ConfigParse(f"unknown measurement name {item!r}")
+    for item in [spec] if isinstance(spec, str) else _convert(spec, list, "measurement list"):
+        if item in _PAULIS:
+            out.append(pauli_observable(item[-1]))
         elif isinstance(item, dict) and "effects" in item:
-            effects = tuple(matrix_from_json(e) for e in item["effects"])
-            labels = tuple(str(x) for x in item.get("labels", range(len(effects))))
-            out.append(Povm(effects, labels))
+            effects = tuple(matrix_from_json(e) for e in _field(item, "effects", list))
+            out.append(Povm(effects, _field(item, "labels", tuple, range(len(effects)))))
         elif isinstance(item, dict) and "observable" in item:
-            out.append(observable_from_matrix(matrix_from_json(item["observable"])))
+            out.append(observable_from_matrix(matrix_from_json(_field(item, "observable"))))
         else:
             raise ConfigParse(f"cannot parse measurement {item!r}")
     return out
 
 
-def _as_observables(meas, context: str) -> list[Observable]:
-    obs = []
-    for m in meas:
-        if not isinstance(m, Observable):
-            raise ConfigParse(f"{context} needs observables, not raw POVMs")
-        obs.append(m)
-    return obs
-
-
-def _as_povms(meas) -> list[Povm]:
+def _povms(meas) -> list[Povm]:
     return [m.povm() if isinstance(m, Observable) else m for m in meas]
 
 
-def _observable_bound(observables: list[Observable], restarts: int, seed: int) -> BoundVector:
-    two_qubit = (
-        len(observables) == 2
-        and all(o.dim == 2 and o.nondegenerate for o in observables)
-    )
-    if two_qubit:
-        return omega_two_dichotomic(observables[0], observables[1])
-    return omega_numeric(_as_povms(observables), restarts=restarts, seed=seed)
+def _bound(meas, restarts: int, seed: int) -> BoundVector:
+    """Closed form for two nondegenerate qubit observables, else the numeric ascent."""
+    if len(meas) == 2 and all(
+        isinstance(m, Observable) and m.dim == 2 and m.nondegenerate for m in meas
+    ):
+        return omega_two_dichotomic(*meas)
+    return omega_numeric(_povms(meas), restarts=restarts, seed=seed)
 
 
-def _config_field(config: dict, key: str, context: str):
-    try:
-        return config[key]
-    except KeyError:
-        raise ConfigParse(f"{context} scenario needs a {key!r} field") from None
+def _parties(config: dict):
+    """Entanglement measurements ``x`` and ``y``; ``y`` defaults to ``x``."""
+    meas = _field(config, "measurements")
+    x = _measurements(_field(meas, "x"))
+    return x, _measurements(_field(meas, "y")) if "y" in meas else x
 
 
-def _run_entanglement(config: dict, restarts: int, seed: int) -> list[DetectionReport]:
-    flavor = config.get("flavor", "universal")
-    state = _parse_state(_config_field(config, "state", "entanglement"))
-    meas = _config_field(config, "measurements", "entanglement")
-    x = _parse_measurements(_config_field(meas, "x", "entanglement measurements"))
-    y = _parse_measurements(_config_field(meas, "y", "entanglement measurements"))
-    if flavor == "universal":
-        x_obs = _as_observables(x, "universal entanglement")
-        y_obs = _as_observables(y, "universal entanglement")
-        q = get_quantifier(config.get("quantifier", "shannon"))
-        bound_x = _observable_bound(x_obs, restarts, seed)
-        bound_y = _observable_bound(y_obs, restarts, seed)
-        return [entanglement_universal(state, x_obs, y_obs, q, bound_x, bound_y)]
-    if flavor == "fine_grained":
-        meas_a = _as_povms(x)
-        meas_b = _as_povms(y)
-        pairs = setting_pairs(len(meas_a), len(meas_b))
-        outcomes_cfg = config.get("outcomes", "matched")
-        if outcomes_cfg == "matched":
-            outcomes = [matched_outcome_events(meas_a[i], meas_b[j]) for i, j in pairs]
-        else:
-            try:
-                outcomes = (tuple(outcomes_cfg["a"]), tuple(outcomes_cfg["b"]))
-            except (KeyError, TypeError):
-                raise ConfigParse(
-                    "fine-grained outcomes must be 'matched' or {'a': [...], 'b': [...]}"
-                ) from None
-        if "priors" in config:
-            priors = ProbVec(config["priors"])
-        else:
-            diag = [1.0 / len(meas_a) if i == j else 0.0 for i, j in pairs]
-            priors = ProbVec(diag)
-        bound = fine_grained_bound_product(
-            meas_a, meas_b, outcomes, priors, restarts=restarts, seed=seed
-        )
-        return [entanglement_fine_grained(state, meas_a, meas_b, outcomes, priors, bound)]
-    raise ConfigParse(f"unknown entanglement flavor {flavor!r}")
-
-
-def _steering_assemblage(config: dict) -> tuple[Assemblage, DensityState | None]:
+def _steered(config: dict, meas):
+    """Assemblage source: the config's ``assemblage``, else Alice steering the state."""
     if "assemblage" in config:
-        return assemblage_from_config(config["assemblage"]), None
-    state = _parse_state(_config_field(config, "state", "steering"))
-    meas = _config_field(config, "measurements", "steering")
-    alice = _as_povms(_parse_measurements(_config_field(meas, "alice", "steering measurements")))
-    return steer(state, alice), state
+        asm = assemblage_from_config(_field(config, "assemblage"))
+        return lambda state: asm
+    alice = _povms(_measurements(_field(meas, "alice")))
+    return lambda state: steer(state, alice)
 
 
-def _run_steering(config: dict, restarts: int, seed: int) -> list[DetectionReport]:
-    flavor = config.get("flavor", "universal")
-    if flavor == "fine_grained_tensor":
-        from .quantum import correlation_tensor
+def _entanglement_universal(config: dict, restarts: int, seed: int):
+    x, y = _parties(config)
+    if not all(isinstance(m, Observable) for m in x + y):
+        raise ConfigParse("universal entanglement needs observables, not raw POVMs")
+    q = get_quantifier(_field(config, "quantifier", str, "shannon"))
+    bound_x = _bound(x, restarts, seed)
+    bound_y = bound_x if y is x else _bound(y, restarts, seed)
+    return lambda state: [entanglement_universal(state, x, y, q, bound_x, bound_y)]
 
-        state = _parse_state(_config_field(config, "state", "steering"))
-        directions = _config_field(config, "alice_directions", "tensor steering")
-        bob_directions = config.get("bob_directions")
-        return steering_fine_grained_tensor(
-            correlation_tensor(state), directions, bob_directions
-        )
-    asm, _ = _steering_assemblage(config)
-    meas = _config_field(config, "measurements", "steering")
-    bob = _parse_measurements(_config_field(meas, "bob", "steering measurements"))
-    if flavor == "universal":
-        q = get_quantifier(config.get("quantifier", "shannon"))
-        bob_obs_bound = (
-            _observable_bound(_as_observables(bob, "universal steering"), restarts, seed)
-            if all(isinstance(m, Observable) for m in bob)
-            else omega_numeric(_as_povms(bob), restarts=restarts, seed=seed)
-        )
-        return [steering_universal(asm, _as_povms(bob), None, q, bob_obs_bound)]
-    if flavor == "fine_grained":
-        bob_povms = _as_povms(bob)
-        outcomes = tuple(str(o) for o in _config_field(config, "outcomes", "fine-grained steering"))
-        priors = ProbVec(config["priors"]) if "priors" in config else uniform(len(bob_povms))
-        bounds = fine_grained_bound_map(bob_povms, priors)
-        return steering_fine_grained(asm, bob_povms, outcomes, priors, bounds)
-    raise ConfigParse(f"unknown steering flavor {flavor!r}")
+
+def _entanglement_fine_grained(config: dict, restarts: int, seed: int):
+    x, y = _parties(config)
+    meas_a, meas_b = _povms(x), _povms(y)
+    pairs = setting_pairs(len(meas_a), len(meas_b))
+    spec = _field(config, "outcomes", default="matched")
+    if spec == "matched":
+        outcomes = [matched_outcome_events(meas_a[i], meas_b[j]) for i, j in pairs]
+    else:
+        outcomes = (_field(spec, "a", tuple), _field(spec, "b", tuple))
+    priors = _field(config, "priors", ProbVec, None) or ProbVec(
+        [1.0 / len(meas_a) if i == j else 0.0 for i, j in pairs]
+    )
+    bound = fine_grained_bound_product(meas_a, meas_b, outcomes, priors, restarts, seed)
+    return lambda state: [entanglement_fine_grained(state, meas_a, meas_b, outcomes, priors, bound)]
+
+
+def _steering_universal(config: dict, restarts: int, seed: int):
+    meas = _field(config, "measurements")
+    assemblage = _steered(config, meas)
+    bob = _measurements(_field(meas, "bob"))
+    q = get_quantifier(_field(config, "quantifier", str, "shannon"))
+    bound = _bound(bob, restarts, seed)
+    bob_povms = _povms(bob)
+    return lambda state: [steering_universal(assemblage(state), bob_povms, None, q, bound)]
+
+
+def _steering_fine_grained(config: dict, restarts: int, seed: int):
+    meas = _field(config, "measurements")
+    assemblage = _steered(config, meas)
+    bob = _povms(_measurements(_field(meas, "bob")))
+    outcomes = _field(config, "outcomes", tuple)
+    priors = _field(config, "priors", ProbVec, None) or uniform(len(bob))
+    bounds = fine_grained_bound_map(bob, priors)
+    return lambda state: steering_fine_grained(assemblage(state), bob, outcomes, priors, bounds)
+
+
+def _steering_fine_grained_tensor(config: dict, restarts: int, seed: int):
+    alice = _field(config, "alice_directions", _vectors)
+    bob = _field(config, "bob_directions", _vectors, None)
+    return lambda state: steering_fine_grained_tensor(correlation_tensor(state), alice, bob)
+
+
+_CRITERIA = {
+    "entanglement_universal": _entanglement_universal,
+    "entanglement_fine_grained": _entanglement_fine_grained,
+    "steering_universal": _steering_universal,
+    "steering_fine_grained": _steering_fine_grained,
+    "steering_fine_grained_tensor": _steering_fine_grained_tensor,
+}
+# Criteria that take a configured assemblage in place of the state.
+_ASSEMBLAGE_CRITERIA = ("steering_universal", "steering_fine_grained")
+
+
+def _criterion(name: str, config: dict, restarts: int, seed: int):
+    if name not in _CRITERIA:
+        raise ConfigParse(f"unknown criterion {name!r}; expected one of {', '.join(_CRITERIA)}")
+    return _CRITERIA[name](config, restarts, seed)
 
 
 def _run_bound_only(config: dict, restarts: int, seed: int):
-    meas_cfg = _config_field(config, "measurements", "bound_only")
-    raw = meas_cfg.get("meas", meas_cfg) if isinstance(meas_cfg, dict) else meas_cfg
-    meas = _parse_measurements(raw)
-    if all(isinstance(m, Observable) for m in meas):
-        bound = _observable_bound(list(meas), restarts, seed)
-    else:
-        bound = omega_numeric(_as_povms(meas), restarts=restarts, seed=seed)
-    census = None
-    grid_witness = None
+    meas = _field(config, "measurements")
+    meas = _measurements(_field(meas, "meas") if isinstance(meas, dict) else meas)
+    bound = _bound(meas, restarts, seed)
+    census = grid_witness = None
     if "oracle" in config:
-        opts = config["oracle"]
+        opts = _field(config, "oracle", dict)
         census = verify_majorization_bound(
             bound,
-            _as_povms(meas),
-            samples=int(opts.get("samples", 1000)),
-            seed=int(opts.get("seed", seed)),
+            _povms(meas),
+            samples=_field(opts, "samples", int, 1000),
+            seed=_field(opts, "seed", int, seed),
         )
-        if "grid" in opts:
-            grid_witness = brute_force_topk(_as_povms(meas), 1, int(opts["grid"]))
+        grid = _field(opts, "grid", int, None)
+        if grid is not None:
+            grid_witness = brute_force_topk(_povms(meas), 1, grid)
     return bound, census, grid_witness
 
 
-def _family_builder(family: str):
-    name, *args = family.split(":")
-    if name == "werner":
-        return lambda w: werner(w)
-    if name == "isotropic":
-        d = int(args[0]) if args else 2
-        return lambda f: isotropic(d, f)
-    raise ConfigParse(f"unknown scan family {family!r}")
-
-
-def _run_scan(config: dict, restarts: int, seed: int):
-    scan_cfg = _config_field(config, "scan", "scan")
-    family = _config_field(scan_cfg, "family", "scan")
-    criterion_name = _config_field(scan_cfg, "criterion", "scan")
-    grid_cfg = _config_field(scan_cfg, "grid", "scan")
-    try:
-        grid = np.arange(
-            float(grid_cfg["start"]),
-            float(grid_cfg["stop"]) + 1e-12,
-            float(grid_cfg["step"]),
-        )
-    except (KeyError, TypeError):
-        raise ConfigParse("scan grid needs start, stop and step") from None
-    bisect_tol = float(scan_cfg.get("bisect_tol", 1e-4))
-    build_state = _family_builder(family)
-    meas = _config_field(config, "measurements", "scan")
-
-    if criterion_name == "entanglement_universal":
-        x_obs = _as_observables(_parse_measurements(_config_field(meas, "x", "scan")), "scan")
-        q = get_quantifier(config.get("quantifier", "shannon"))
-        bound = _observable_bound(x_obs, restarts, seed)
-
-        def criterion(param: float) -> DetectionReport:
-            return entanglement_universal(build_state(param), x_obs, x_obs, q, bound, bound)
-
-    elif criterion_name == "steering_universal":
-        alice = _as_povms(_parse_measurements(_config_field(meas, "alice", "scan")))
-        bob = _parse_measurements(_config_field(meas, "bob", "scan"))
-        bob_obs = _as_observables(bob, "scan") if all(isinstance(m, Observable) for m in bob) else None
-        q = get_quantifier(config.get("quantifier", "shannon"))
-        bound = (
-            _observable_bound(bob_obs, restarts, seed)
-            if bob_obs is not None
-            else omega_numeric(_as_povms(bob), restarts=restarts, seed=seed)
-        )
-        bob_povms = _as_povms(bob)
-
-        def criterion(param: float) -> DetectionReport:
-            return steering_universal(steer(build_state(param), alice), bob_povms, None, q, bound)
-
-    elif criterion_name == "steering_fine_grained":
-        alice = _as_povms(_parse_measurements(_config_field(meas, "alice", "scan")))
-        bob_povms = _as_povms(_parse_measurements(_config_field(meas, "bob", "scan")))
-        outcomes = tuple(str(o) for o in _config_field(config, "outcomes", "scan"))
-        priors = ProbVec(config["priors"]) if "priors" in config else uniform(len(bob_povms))
-        bounds = fine_grained_bound_map(bob_povms, priors)
-
-        def criterion(param: float) -> DetectionReport:
-            reports = steering_fine_grained(
-                steer(build_state(param), alice), bob_povms, outcomes, priors, bounds
-            )
-            return max(reports, key=lambda r: r.margin)
-
-    else:
-        raise ConfigParse(f"unknown scan criterion {criterion_name!r}")
-
-    return threshold_scan(family, criterion, grid.tolist(), bisect_tol)
+def _run_scan(config: dict, restarts: int, seed: int) -> ScanResult:
+    scan = _field(config, "scan")
+    family = _field(scan, "family", str)
+    build_state = _ref(family, _FAMILIES, "scan family")
+    grid = _field(scan, "grid")
+    start, stop, step = (_field(grid, key, float) for key in ("start", "stop", "step"))
+    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigParse("scan grid needs finite start and stop and a positive step")
+    bisect_tol = _field(scan, "bisect_tol", float, 1e-4)
+    evaluate = _criterion(_field(scan, "criterion", str), config, restarts, seed)
+    return threshold_scan(
+        family,
+        lambda param: max(evaluate(build_state(param)), key=lambda r: r.margin),
+        np.arange(start, stop + 1e-12, step).tolist(),
+        bisect_tol,
+    )
 
 
 def _format_float(x: float) -> str:
@@ -400,8 +384,10 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
     config = load_config(path_or_preset)
     if state_override is not None:
         config["state"] = state_override
-    seed = seed if seed is not None else int(config.get("seed", 0))
-    kind = config.get("scenario_kind")
+    seed = seed if seed is not None else _field(config, "seed", int, 0)
+    if seed < 0:
+        raise ConfigParse(f"seed must be non-negative, got {seed}")
+    kind = _field(config, "scenario_kind", default=None)
     reports: list[DetectionReport] = []
     payload: dict = {
         "schema_version": 1,
@@ -411,12 +397,12 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
         "restarts": restarts,
         "scenario_kind": kind,
     }
-    scan = None
 
-    if kind == "entanglement":
-        reports = _run_entanglement(config, restarts, seed)
-    elif kind == "steering":
-        reports = _run_steering(config, restarts, seed)
+    if kind in ("entanglement", "steering"):
+        name = f"{kind}_{_field(config, 'flavor', str, 'universal')}"
+        from_assemblage = name in _ASSEMBLAGE_CRITERIA and "assemblage" in config
+        state = None if from_assemblage else _field(config, "state", _state)
+        reports = _criterion(name, config, restarts, seed)(state)
     elif kind == "bound_only":
         bound, census, grid_witness = _run_bound_only(config, restarts, seed)
         payload["bound_vector"] = {
@@ -441,15 +427,7 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
                 print(f"grid witness for the first entry: {_format_float(grid_witness)}")
     elif kind == "scan":
         scan = _run_scan(config, restarts, seed)
-        payload["scan"] = {
-            "family": scan.family,
-            "parameter_grid": list(scan.parameter_grid),
-            "lhs_values": list(scan.lhs_values),
-            "bound": scan.bound,
-            "verdicts": list(scan.verdicts),
-            "threshold_estimate": scan.threshold_estimate,
-            "bisection_tolerance": scan.bisection_tolerance,
-        }
+        payload["scan"] = asdict(scan)
         if csv_path:
             scan_to_csv(scan, csv_path)
         if not quiet:

@@ -259,18 +259,17 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     certified = all(b.certified for b in used)
     reports: list[DetectionReport] = []
     alice_label_sets = [asm.outcomes[asm.settings[i]] for i in range(m)]
-    for alice_string in itertools.product(*(range(d) for _ in range(m))):
+    # traces[a][b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
+    # scores[i][a] is setting i's matching score when Alice announces label a.
+    scores = []
+    for povm, b, setting, labels in zip(bob_meas, bob_idx, asm.settings, alice_label_sets):
+        traces = [[float(np.trace(e @ asm.elements[(setting, alpha)]).real) for e in povm.effects]
+                  for alpha in labels]
+        scores.append([sum(traces[(a + t) % d][(b + t) % d] for t in range(d)) for a in range(d)])
+    for alice_string in itertools.product(range(d), repeat=m):
         lhs = 0.0
-        for i in range(m):
-            setting = asm.settings[i]
-            labels = alice_label_sets[i]
-            effects = bob_meas[i].effects
-            score = 0.0
-            for t in range(d):
-                alpha = labels[(alice_string[i] + t) % d]
-                beta = effects[(bob_idx[i] + t) % d]
-                score += float(np.trace(beta @ asm.elements[(setting, alpha)]).real)
-            lhs += priors_bob.values[i] * score
+        for i, a in enumerate(alice_string):
+            lhs += priors_bob.values[i] * scores[i][a]
         margin = lhs - bound_value
         column_labels = tuple(alice_label_sets[i][alice_string[i]] for i in range(m))
         reports.append(

@@ -188,8 +188,8 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     Bloch-angle grid with zoom refinement; qutrits use seeded unit-vector
     sampling.  Larger dimensions are out of scope.
     """
-    if k < 1:
-        raise BadParameter("k must be at least 1")
+    if k < 1 or grid_density < 1:
+        raise BadParameter("k and the grid density must be at least 1")
     dim = meas[0].dim
     effect_sets = [list(p.effects) for p in meas]
     if dim == 2:
@@ -219,7 +219,11 @@ def threshold_scan(family: str, criterion: Callable[[float], DetectionReport],
     flip aborts, since the families used here are monotone and a double flip
     signals a bug upstream.
     """
+    if not bisect_tol > 0:
+        raise BadParameter(f"bisection tolerance must be positive, got {bisect_tol}")
     params = [float(x) for x in grid]
+    if not params:
+        raise BadParameter("grid must contain at least one point")
     if any(b <= a for a, b in zip(params, params[1:])):
         raise BadParameter("grid must be strictly ascending")
     reports = [criterion(x) for x in params]

@@ -30,8 +30,8 @@ _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 def _as_square_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise BadParameter("matrix entries must be finite")
     return a
@@ -79,7 +79,7 @@ class DensityState:
             raise BadParameter(f"density matrix has negative eigenvalue {wmin:.3e}")
         if self.dims is not None:
             da, db = self.dims
-            if da * db != a.shape[0]:
+            if da < 1 or db < 1 or da * db != a.shape[0]:
                 raise DimensionMismatch(
                     f"factorization {self.dims} incompatible with dimension {a.shape[0]}"
                 )
@@ -298,6 +298,8 @@ def bell_phi_plus() -> DensityState:
 
 
 def maximally_mixed(d: int, dims: tuple[int, int] | None = None) -> DensityState:
+    if d < 1:
+        raise BadParameter(f"dimension must be at least 1, got {d}")
     return DensityState(np.eye(d, dtype=complex) / d, dims=dims)
 
 

@@ -26,6 +26,7 @@ SY = pauli_observable("y")
 SZ = pauli_observable("z")
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
+HALF_I = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
 
 
 class TestSteer:
@@ -178,5 +179,16 @@ class TestSerialization:
             assert np.allclose(rebuilt.elements[key], op, atol=1e-15)
 
     def test_bad_config(self):
-        with pytest.raises(BadParameter):
-            assemblage_from_config({"settings": [0]})
+        configs = [
+            {"settings": [0]},
+            {"bob_dim": 2, "settings": [0], "elements": [{"outcome": "0", "operator": HALF_I}]},
+            {
+                "bob_dim": 2,
+                "settings": [0],
+                "elements": [{"setting": 7, "outcome": "0", "operator": HALF_I}],
+            },
+            {"bob_dim": 2, "settings": [], "elements": []},
+        ]
+        for config in configs:
+            with pytest.raises(BadParameter):
+                assemblage_from_config(config)

@@ -198,6 +198,12 @@ class TestFineGrainedProduct:
                                         restarts=16, seed=1)
         assert fb.value == pytest.approx(GAMMA1, abs=5e-6)
 
+    def test_outcome_strings_must_fit_measurements(self):
+        meas = [SX.povm(), SZ.povm()]
+        priors = make_probvec((0.5, 0.0, 0.0, 0.5))
+        with pytest.raises(DimensionMismatch):
+            fine_grained_bound_product(meas, meas, (("+",), ("+", "0")), priors, restarts=2)
+
     def test_empty_event_drops_a_setting(self):
         # emptying one setting pair's event leaves the prior-weighted
         # maximum of the remaining pair, by linearity

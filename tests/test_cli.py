@@ -1,4 +1,6 @@
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from uwit import (
     steer,
     uniform,
 )
+from uwit import cli
 from uwit.assemblage import matrix_to_json
 from uwit.quantum import projector
 from uwit.cli import PRESETS, load_config, main, run
@@ -60,6 +63,169 @@ def fine_grained_scan_config(outcomes):
             "grid": {"start": 0.0, "stop": 1.0, "step": 0.25},
         },
     }
+
+
+def werner_scan_config(criterion, **fields):
+    return {
+        "scenario_kind": "scan",
+        **fields,
+        "scan": {
+            "family": "werner",
+            "criterion": criterion,
+            "grid": {"start": 0.0, "stop": 1.0, "step": 0.05},
+            "bisect_tol": 1e-3,
+        },
+    }
+
+
+XY = ["pauli_x", "pauli_y"]
+XZ = ["pauli_x", "pauli_z"]
+
+# Werner scans with the threshold each bisects to (README table and closed forms).
+SCANS = {
+    "steering_universal": (
+        werner_scan_config(
+            "steering_universal", measurements={"alice": XY, "bob": XY}, quantifier="shannon"
+        ),
+        0.8287,
+    ),
+    "entanglement_fine_grained": (
+        werner_scan_config("entanglement_fine_grained", measurements={"x": XZ, "y": XZ}),
+        0.5,
+    ),
+    "steering_fine_grained_tensor": (
+        werner_scan_config(
+            "steering_fine_grained_tensor", alice_directions=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        ),
+        1 / np.sqrt(2),
+    ),
+}
+
+CONFIGS = {
+    "bound_only": {
+        "scenario_kind": "bound_only",
+        "measurements": {"meas": XY},
+        "oracle": {"samples": 100, "seed": 3, "grid": 20000},
+    },
+    "fine_grained_steering": {
+        "scenario_kind": "steering",
+        "flavor": "fine_grained",
+        "state": "bell_phi_plus",
+        "measurements": {"alice": XZ, "bob": XZ},
+        "outcomes": ["+", "0"],
+    },
+    "fine_grained_entanglement": {
+        "scenario_kind": "entanglement",
+        "flavor": "fine_grained",
+        "state": "bell_phi_plus",
+        "measurements": {"x": XZ, "y": XZ},
+        "outcomes": "matched",
+    },
+    "mub_shorthand": {"scenario_kind": "bound_only", "measurements": {"meas": "mub:2:2"}},
+    "isotropic_scan": {
+        "scenario_kind": "scan",
+        "measurements": {"x": XY},
+        "quantifier": "min_entropy",
+        "scan": {
+            "family": "isotropic:2",
+            "criterion": "entanglement_universal",
+            "grid": {"start": 0.0, "stop": 1.0, "step": 0.1},
+            "bisect_tol": 1e-3,
+        },
+    },
+    "fine_grained_scan": fine_grained_scan_config(["+", "0"]),
+    **{f"{name}_scan": config for name, (config, _) in SCANS.items()},
+}
+
+
+def assemblage_config():
+    asm = steer(bell_phi_plus(), [pauli_observable("x").povm(), pauli_observable("y").povm()])
+    return {
+        "scenario_kind": "steering",
+        "flavor": "universal",
+        "assemblage": assemblage_to_config(asm),
+        "measurements": {"bob": XY},
+        "quantifier": "shannon",
+    }
+
+
+def inline_state_config():
+    identity2 = matrix_to_json(np.eye(2) * 0.5)
+    return {
+        "scenario_kind": "steering",
+        "flavor": "universal",
+        "state": {"matrix": matrix_to_json(np.eye(4) / 4), "dims": [2, 2]},
+        "measurements": {
+            "alice": ["pauli_z"],
+            "bob": [{"effects": [identity2, identity2], "labels": ["a", "b"]}],
+        },
+        "quantifier": "shannon",
+    }
+
+
+def witness_qubit_config():
+    # sigma_z and the xz-plane axis at 120 degrees: the strings have unequal bounds
+    angle = 2 * np.pi / 3
+    matrices = [
+        np.array([[1, 0], [0, -1]], dtype=complex),
+        np.array([[np.cos(angle), np.sin(angle)], [np.sin(angle), -np.cos(angle)]],
+                 dtype=complex),
+    ]
+    bob = [observable_from_matrix(m).povm() for m in matrices]
+    specs = [{"observable": matrix_to_json(m)} for m in matrices]
+    return witness_steering_config(specs, bob, ("1", "1"), ("1", "-1"))
+
+
+def witness_qutrit_config():
+    # 3^6 = 729 outcome strings; the configured string has the smallest
+    # bound and the hidden state sits at the witness of the largest
+    rng = np.random.default_rng(68)
+    bob, specs = [], []
+    for _ in range(6):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        effects = [projector(q[:, k]) for k in range(3)]
+        bob.append(Povm(tuple(effects), ("0", "1", "2")))
+        specs.append({"effects": [matrix_to_json(e) for e in effects],
+                      "labels": ["0", "1", "2"]})
+    bounds = fine_grained_bound_map(bob, uniform(6))
+    weakest = min(bounds, key=lambda s: bounds[s].value)
+    strongest = max(bounds, key=lambda s: bounds[s].value)
+    return witness_steering_config(specs, bob, weakest, strongest)
+
+
+COMPUTED = {
+    "assemblage": assemblage_config,
+    "inline_state": inline_state_config,
+    "witness_qubit": witness_qubit_config,
+    "witness_qutrit": witness_qutrit_config,
+}
+
+
+def base_config(name):
+    """A fresh copy of a preset (``preset:<name>``), a static or a computed config."""
+    if name.startswith("preset:"):
+        return load_config(name)
+    if name in CONFIGS:
+        return json.loads(json.dumps(CONFIGS[name]))
+    return COMPUTED[name]()
+
+
+ALL_CONFIGS = [f"preset:{p}" for p in sorted(PRESETS)] + list(CONFIGS) + list(COMPUTED)
+DROP = object()
+
+
+def mutated(config, path, value):
+    """A copy of ``config`` with the value at ``path`` replaced, or deleted for DROP."""
+    config = json.loads(json.dumps(config))
+    *parents, last = path
+    target = config
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return config
 
 
 class TestPresets:
@@ -112,14 +278,7 @@ class TestReports:
 
 class TestScenarios:
     def test_bound_only(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "bound_only",
-                "measurements": {"meas": ["pauli_x", "pauli_y"]},
-                "oracle": {"samples": 100, "seed": 3, "grid": 20000},
-            },
-        )
+        path = write_config(tmp_path, CONFIGS["bound_only"])
         json_path = tmp_path / "bound.json"
         assert run(path, json_path=str(json_path)) == 0
         out = capsys.readouterr().out
@@ -132,154 +291,45 @@ class TestScenarios:
         )
 
     def test_scan_with_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "scan.csv"
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "scan",
-                "measurements": {
-                    "alice": ["pauli_x", "pauli_y"],
-                    "bob": ["pauli_x", "pauli_y"],
-                },
-                "quantifier": "shannon",
-                "scan": {
-                    "family": "werner",
-                    "criterion": "steering_universal",
-                    "grid": {"start": 0.0, "stop": 1.0, "step": 0.05},
-                    "bisect_tol": 1e-3,
-                },
-            },
-        )
-        assert run(path, csv_path=str(csv_path)) == 0
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "parameter,lhs,bound,verdict"
-        verdicts = [line.rsplit(",", 1)[1] for line in lines[1:]]
-        flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
-        assert flips == 1
-        out = capsys.readouterr().out
-        assert "threshold" in out
+        for name, (config, threshold) in SCANS.items():
+            csv_path = tmp_path / f"{name}.csv"
+            json_path = tmp_path / f"{name}.json"
+            path = write_config(tmp_path, config)
+            assert run(path, csv_path=str(csv_path), json_path=str(json_path), restarts=16) == 0
+            lines = csv_path.read_text().strip().splitlines()
+            assert lines[0] == "parameter,lhs,bound,verdict"
+            verdicts = [line.rsplit(",", 1)[1] for line in lines[1:]]
+            flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
+            assert flips == 1, name
+            out = capsys.readouterr().out
+            assert "threshold" in out
+            scan = json.loads(json_path.read_text())["scan"]
+            assert scan["threshold_estimate"] == pytest.approx(threshold, abs=1e-3), name
 
     def test_fine_grained_steering_scenario(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "steering",
-                "flavor": "fine_grained",
-                "state": "bell_phi_plus",
-                "measurements": {
-                    "alice": ["pauli_x", "pauli_z"],
-                    "bob": ["pauli_x", "pauli_z"],
-                },
-                "outcomes": ["+", "0"],
-            },
-        )
-        assert run(path, quiet=True) == 2
+        assert run(write_config(tmp_path, CONFIGS["fine_grained_steering"]), quiet=True) == 2
 
     def test_fine_grained_entanglement_scenario(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "entanglement",
-                "flavor": "fine_grained",
-                "state": "bell_phi_plus",
-                "measurements": {
-                    "x": ["pauli_x", "pauli_z"],
-                    "y": ["pauli_x", "pauli_z"],
-                },
-                "outcomes": "matched",
-            },
-        )
+        path = write_config(tmp_path, CONFIGS["fine_grained_entanglement"])
         assert run(path, quiet=True, restarts=16) == 2
 
     def test_witness_lhs_qubit_not_detected(self, tmp_path):
-        # sigma_z and the xz-plane axis at 120 degrees: the strings have unequal bounds
-        angle = 2 * np.pi / 3
-        matrices = [
-            np.array([[1, 0], [0, -1]], dtype=complex),
-            np.array([[np.cos(angle), np.sin(angle)], [np.sin(angle), -np.cos(angle)]],
-                     dtype=complex),
-        ]
-        bob = [observable_from_matrix(m).povm() for m in matrices]
-        specs = [{"observable": matrix_to_json(m)} for m in matrices]
-        config = witness_steering_config(specs, bob, ("1", "1"), ("1", "-1"))
-        assert run(write_config(tmp_path, config), quiet=True) == 0
+        assert run(write_config(tmp_path, witness_qubit_config()), quiet=True) == 0
 
     def test_witness_lhs_six_qutrit_settings_not_detected(self, tmp_path):
-        # 3^6 = 729 outcome strings; the configured string has the smallest
-        # bound and the hidden state sits at the witness of the largest
-        rng = np.random.default_rng(68)
-        bob, specs = [], []
-        for _ in range(6):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-            effects = [projector(q[:, k]) for k in range(3)]
-            bob.append(Povm(tuple(effects), ("0", "1", "2")))
-            specs.append({"effects": [matrix_to_json(e) for e in effects],
-                          "labels": ["0", "1", "2"]})
-        bounds = fine_grained_bound_map(bob, uniform(6))
-        weakest = min(bounds, key=lambda s: bounds[s].value)
-        strongest = max(bounds, key=lambda s: bounds[s].value)
-        config = witness_steering_config(specs, bob, weakest, strongest)
-        assert run(write_config(tmp_path, config), quiet=True) == 0
+        assert run(write_config(tmp_path, witness_qutrit_config()), quiet=True) == 0
 
     def test_assemblage_ingestion(self, tmp_path):
-        sx, sy = pauli_observable("x"), pauli_observable("y")
-        asm = steer(bell_phi_plus(), [sx.povm(), sy.povm()])
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "steering",
-                "flavor": "universal",
-                "assemblage": assemblage_to_config(asm),
-                "measurements": {"bob": ["pauli_x", "pauli_y"]},
-                "quantifier": "shannon",
-            },
-        )
-        assert run(path, quiet=True) == 2
+        assert run(write_config(tmp_path, assemblage_config()), quiet=True) == 2
 
     def test_inline_state_and_povm(self, tmp_path):
-        state = matrix_to_json(np.eye(4) / 4)
-        identity2 = matrix_to_json(np.eye(2) * 0.5)
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "steering",
-                "flavor": "universal",
-                "state": {"matrix": state, "dims": [2, 2]},
-                "measurements": {
-                    "alice": ["pauli_z"],
-                    "bob": [{"effects": [identity2, identity2], "labels": ["a", "b"]}],
-                },
-                "quantifier": "shannon",
-            },
-        )
-        assert run(path, quiet=True) == 0
+        assert run(write_config(tmp_path, inline_state_config()), quiet=True) == 0
 
     def test_mub_shorthand(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "bound_only",
-                "measurements": {"meas": "mub:2:2"},
-            },
-        )
-        assert run(path, quiet=True) == 0
+        assert run(write_config(tmp_path, CONFIGS["mub_shorthand"]), quiet=True) == 0
 
     def test_isotropic_scan(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "scenario_kind": "scan",
-                "measurements": {"x": ["pauli_x", "pauli_y"]},
-                "quantifier": "min_entropy",
-                "scan": {
-                    "family": "isotropic:2",
-                    "criterion": "entanglement_universal",
-                    "grid": {"start": 0.0, "stop": 1.0, "step": 0.1},
-                    "bisect_tol": 1e-3,
-                },
-            },
-        )
-        assert run(path, quiet=True) == 0
+        assert run(write_config(tmp_path, CONFIGS["isotropic_scan"]), quiet=True) == 0
 
 
 class TestErrors:
@@ -367,3 +417,170 @@ class TestErrors:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigParse):
             load_config(str(path))
+
+
+EX1 = "preset:paper-example-1"
+SCAN = "steering_universal_scan"
+ELEMENT_SETTING = ("assemblage", "elements", 0, "setting")
+
+# Malformed configs as (base config, path, replacement or DROP); each must
+# exit 1 with a one-line message.
+MALFORMED = {
+    "werner-without-argument": (EX1, ("state",), "werner"),
+    "isotropic-without-argument": (EX1, ("state",), "isotropic"),
+    "mub-with-one-argument": ("mub_shorthand", ("measurements", "meas"), "mub:4"),
+    "non-numeric-werner": (EX1, ("state",), "werner:abc"),
+    "non-numeric-mub": ("mub_shorthand", ("measurements", "meas"), "mub:x:2"),
+    "non-numeric-maximally-mixed": (EX1, ("state",), "maximally_mixed:x"),
+    "non-numeric-scan-family": ("isotropic_scan", ("scan", "family"), "isotropic:x"),
+    "dims-of-length-3": ("inline_state", ("state", "dims"), [2, 2, 1]),
+    "ragged-matrix": ("inline_state", ("state", "matrix", 1), []),
+    "measurements-as-list": (EX1, ("measurements",), XY),
+    "non-numeric-seed": (EX1, ("seed",), "abc"),
+    "negative-seed": ("fine_grained_entanglement", ("seed",), -1),
+    "numeric-quantifier": (EX1, ("quantifier",), 3),
+    "numeric-oracle": ("bound_only", ("oracle",), 5),
+    "non-numeric-samples": ("bound_only", ("oracle", "samples"), "many"),
+    "numeric-steering-outcomes": ("fine_grained_steering", ("outcomes",), 5),
+    "numeric-alice-directions": ("preset:paper-eq12", ("alice_directions",), 5),
+    "zero-step": (SCAN, ("scan", "grid", "step"), 0),
+    "negative-step": (SCAN, ("scan", "grid", "step"), -0.1),
+    "non-numeric-start": (SCAN, ("scan", "grid", "start"), "zero"),
+    "non-numeric-bisect-tol": (SCAN, ("scan", "bisect_tol"), "fine"),
+    "numeric-family": (SCAN, ("scan", "family"), 3),
+    "zero-bisect-tol": (SCAN, ("scan", "bisect_tol"), 0),
+    "negative-bisect-tol": (SCAN, ("scan", "bisect_tol"), -1),
+    "empty-grid": (SCAN, ("scan", "grid", "start"), 2.0),
+    "element-without-setting": ("assemblage", ELEMENT_SETTING, DROP),
+    "element-with-unknown-setting": ("assemblage", ELEMENT_SETTING, 7),
+    "empty-settings": (
+        "assemblage", ("assemblage",), {"bob_dim": 2, "settings": [], "elements": []}
+    ),
+    "zero-dimensional-state": (EX1, ("state",), "maximally_mixed:0"),
+    "negative-dimensional-state": (EX1, ("state",), "maximally_mixed:-4"),
+    "outcome-strings-of-unequal-length": (
+        "fine_grained_entanglement", ("outcomes",), {"a": ["+"], "b": ["+", "0"]}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_config_exits_1(tmp_path, capsys, name):
+    base, path, value = MALFORMED[name]
+    config = mutated(base_config(base), path, value)
+    assert main([write_config(tmp_path, config), "--restarts", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def value_paths(node, prefix=()):
+    """Paths to every value inside ``node``, not descending into matrices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        if not (isinstance(node, list) and isinstance(child, list)):
+            yield from value_paths(child, prefix + (key,))
+
+
+def value_at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+WRONG_TYPES = (7, "x", [7], {"x": 7})
+
+
+def fuzz_mutation(config, rng):
+    """Drop a value, swap it for one of another type, or truncate a reference."""
+    values = {path: value_at(config, path) for path in value_paths(config)}
+    refs = [path for path, v in values.items() if isinstance(v, str) and ":" in v]
+    kind = rng.choice(("drop", "swap", "truncate"))
+    if kind == "truncate" and refs:
+        path = rng.choice(refs)
+        return mutated(config, path, values[path].rsplit(":", 1)[0])
+    path = rng.choice(list(values))
+    if kind == "drop":
+        return mutated(config, path, DROP)
+    wrong = [v for v in WRONG_TYPES if type(v) is not type(values[path])]
+    return mutated(config, path, rng.choice(wrong))
+
+
+def test_mutation_fuzzer_exit_codes(tmp_path, capsys):
+    rng = random.Random(2017)
+    codes = set()
+    for name in ALL_CONFIGS:
+        base = base_config(name)
+        for _ in range(3 if name == "witness_qutrit" else 20):
+            path = write_config(tmp_path, fuzz_mutation(base, rng))
+            codes.add(main([path, "--restarts", "2", "--quiet"]))
+    assert codes <= {0, 1, 2}
+
+
+class RecordingDict(dict):
+    """A config object that records the path of every key looked up in it."""
+
+    def __init__(self, data, path, seen):
+        super().__init__({k: recording(v, path + (k,), seen) for k, v in data.items()})
+        self.path = path
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.seen.add(self.path + (key,))
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(self.path + (key,))
+        return super().get(key, default)
+
+
+def recording(value, path, seen):
+    if isinstance(value, dict):
+        return RecordingDict(value, path, seen)
+    if isinstance(value, list):
+        return [recording(v, path + ("[]",), seen) for v in value]
+    return value
+
+
+def schema_alternatives(schema, node):
+    """``node`` with its reference resolved, and every ``oneOf`` branch inside it."""
+    if "$ref" in node:
+        node = schema["definitions"][node["$ref"].rsplit("/", 1)[1]]
+    yield node
+    for branch in node.get("oneOf", ()):
+        yield from schema_alternatives(schema, branch)
+
+
+def declared(schema, path):
+    nodes = [schema]
+    for step in path:
+        children = []
+        for node in nodes:
+            for alt in schema_alternatives(schema, node):
+                child = alt.get("items") if step == "[]" else alt.get("properties", {}).get(step)
+                if child is not None:
+                    children.append(child)
+        nodes = children
+    return bool(nodes)
+
+
+def test_schema_declares_every_key_read(monkeypatch):
+    schema_path = Path(__file__).resolve().parents[1] / "docs" / "scenario.schema.json"
+    schema = json.loads(schema_path.read_text())
+    seen = set()
+    for name in ALL_CONFIGS:
+        config = RecordingDict(base_config(name), (), seen)
+        monkeypatch.setattr(cli, "load_config", lambda _, config=config: config)
+        assert cli.run(name, quiet=True, restarts=2) in (0, 2)
+    assert ("measurements", "y") in seen and ("scan", "bisect_tol") in seen
+    undeclared = sorted(str(p) for p in seen if not declared(schema, p))
+    assert not undeclared, undeclared

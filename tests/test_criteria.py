@@ -255,6 +255,32 @@ class TestSteeringFineGrained:
                 assert not any(r.detected for r in reports)
                 assert max(r.lhs_value for r in reports) == pytest.approx(bound.value, abs=1e-9)
 
+    def test_column_scores_match_trace_by_trace_reference(self):
+        # each column's lhs recomputed as the prior-weighted sum of matching
+        # traces tr(E_{i, b+t} sigma_{i, a+t}), one trace at a time
+        rng = np.random.default_rng(69)
+        state = DensityState(random_mixed_state(9, rng).matrix, dims=(3, 3))
+        asm = steer(state, random_qutrit_basis_povms(70))
+        bob = random_qutrit_basis_povms(71)
+        priors = make_probvec((0.3, 0.7))
+        configured = ("1", "2")
+        reports = steering_fine_grained(
+            asm, bob, configured, priors, fine_grained_bound_map(bob, priors)
+        )
+        bob_idx = [p.outcome_labels.index(label) for p, label in zip(bob, configured)]
+        columns = list(itertools.product(range(3), repeat=2))
+        assert len(reports) == len(columns)
+        for report, column in zip(reports, columns):
+            lhs = 0.0
+            for i, a in enumerate(column):
+                labels = asm.outcomes[asm.settings[i]]
+                for t in range(3):
+                    sigma = asm.elements[(asm.settings[i], labels[(a + t) % 3])]
+                    effect = bob[i].effects[(bob_idx[i] + t) % 3]
+                    lhs += priors.values[i] * float(np.trace(effect @ sigma).real)
+            assert report.lhs_value == pytest.approx(lhs, abs=1e-12)
+            assert report.detected == (lhs - report.bound_value > DETECTION_MARGIN)
+
     def test_missing_outcome_string_rejected(self):
         asm = steer(bell_phi_plus(), XZ_POVMS)
         bounds = xz_bound_map()

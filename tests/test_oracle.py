@@ -94,6 +94,10 @@ class TestBruteForce:
         with pytest.raises(BadParameter):
             brute_force_topk(meas, 1, 100)
 
+    def test_grid_density_guard(self):
+        with pytest.raises(BadParameter):
+            brute_force_topk([SX.povm()], 1, -5)
+
 
 class TestCrossCheck:
     def test_xz_block(self):
@@ -155,6 +159,18 @@ class TestThresholdScan:
 
         with pytest.raises(BadParameter):
             threshold_scan("flat", never, [0.5, 0.5], 1e-3)
+
+    @pytest.mark.parametrize(
+        "grid, tol",
+        [([0.0, 1.0], 0.0), ([0.0, 1.0], -1.0), ([], 1e-3)],
+        ids=["zero-tolerance", "negative-tolerance", "empty-grid"],
+    )
+    def test_bad_tolerance_or_empty_grid(self, grid, tol):
+        def never(x):
+            return DetectionReport("synthetic", x, 2.0, 2.0 - x, "NotDetected")
+
+        with pytest.raises(BadParameter):
+            threshold_scan("flat", never, grid, tol)
 
     def test_csv_export(self, tmp_path):
         def criterion(w):

@@ -214,6 +214,15 @@ class TestFamilies:
             DensityState(np.eye(2))
         with pytest.raises(BadParameter):
             DensityState(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(DimensionMismatch):
+            DensityState(np.zeros((0, 0)))
+        with pytest.raises(DimensionMismatch):
+            DensityState(np.eye(4) / 4, dims=(-2, -2))
+
+    @pytest.mark.parametrize("d", [0, -4])
+    def test_maximally_mixed_needs_positive_dimension(self, d):
+        with pytest.raises(BadParameter):
+            maximally_mixed(d)
 
     def test_povm_validation(self):
         with pytest.raises(BadParameter):
