@@ -6,7 +6,9 @@ Two bound families are computed here:
   tensor product of the measurement statistics of every state is majorized
   by omega.  The two-dichotomic-measurement case has a closed form; the
   general case is obtained by maximizing top-k sums of the tensor statistics
-  over pure states with multi-restart projected gradient ascent.
+  over pure states with multi-restart projected gradient ascent.  One batched
+  kernel (``tensor_stats`` and ``topk_sums``) evaluates those statistics for
+  the ascent and for the brute-force maximizers in ``oracle``.
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
@@ -95,72 +97,67 @@ class FineGrainedBound:
         return self.method == EIGEN_EXACT or self.certified_slack > 0.0
 
 
+def _max_overlap(x: Observable, y: Observable) -> float:
+    """Largest squared eigenvector overlap max_kj tr(P_k Q_j), clipped at zero."""
+    if not x.nondegenerate or not y.nondegenerate:
+        raise Degenerate("observables must have nondegenerate spectra")
+    return max(0.0, *(float(np.trace(pk @ qj).real) for pk in x.projectors for qj in y.projectors))
+
+
 def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
     """Closed-form majorization bound for two nondegenerate qubit observables.
 
-    With c the largest eigenvector overlap and c' the largest root-sum-square
-    overlap over eigenvector pairs sharing exactly one index, the bound is
-    ((1 + c)^2 / 4, (1 + c')^2 / 4 - (1 + c)^2 / 4, 0, 0).
+    With c the largest eigenvector overlap the bound is
+    ((1 + c)^2 / 4, 1 - (1 + c)^2 / 4, 0, 0).  The second cumulative entry is
+    (1 + c')^2 / 4 with c' the largest root-sum-square overlap over
+    eigenvector pairs sharing exactly one index; rank-one projectors make
+    every row of tr(P_k Q_j) sum to one, so c' = 1.
     """
     if x.dim != 2 or y.dim != 2:
         raise DimensionMismatch("closed form applies to qubit observables only")
-    if not x.nondegenerate or not y.nondegenerate:
-        raise Degenerate("observables must have nondegenerate spectra")
-    overlap = np.empty((2, 2))
-    for k, pk in enumerate(x.projectors):
-        for j, qj in enumerate(y.projectors):
-            overlap[k, j] = np.sqrt(max(float(np.trace(pk @ qj).real), 0.0))
-    c = float(np.max(overlap))
-    c_prime = 0.0
-    for k in range(2):
-        for kp in range(2):
-            for j in range(2):
-                for jp in range(2):
-                    if (k == kp) != (j == jp):
-                        c_prime = max(
-                            c_prime,
-                            float(np.sqrt(overlap[k, j] ** 2 + overlap[kp, jp] ** 2)),
-                        )
-    c_prime = min(c_prime, 1.0)
-    gamma1 = (1.0 + c) ** 2 / 4.0
-    gamma2 = min((1.0 + c_prime) ** 2 / 4.0, 1.0)
-    omega = ProbVec([gamma1, gamma2 - gamma1, 0.0, 0.0])
+    gamma1 = (1.0 + np.sqrt(_max_overlap(x, y))) ** 2 / 4.0
     return BoundVector(
-        omega=omega,
+        omega=ProbVec([gamma1, 1.0 - gamma1, 0.0, 0.0]),
         method=ANALYTIC_TWO_DICHOTOMIC,
         measurement_fingerprint=observable_fingerprint([x, y]),
         certified_slack=0.0,
     )
 
 
-def _tensor_stats(psi: np.ndarray, effect_sets: list[list[np.ndarray]]) -> tuple[list[np.ndarray], np.ndarray]:
-    probs = []
-    for effects in effect_sets:
-        p = np.array([float(np.real(psi.conj() @ (e @ psi))) for e in effects])
-        probs.append(np.clip(p, 0.0, None))
+def tensor_stats(kets: np.ndarray,
+                 effect_stacks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Born statistics of a stack of pure states and their tensor product.
+
+    ``kets`` is an (N, d) stack and each effect stack an (n_i, d, d) array.
+    Returns the (N, n_i) statistics of each measurement, clipped at zero, and
+    their (N, prod n_i) tensor product in row-major outcome order.
+    """
+    n, d = kets.shape
+    # <psi|E|psi> = sum_ab conj(psi_a) psi_b E_ab: one matmul per measurement
+    outer = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(n, d * d)
+    probs = [np.clip((outer @ e.reshape(-1, d * d).T).real, 0.0, None) for e in effect_stacks]
     t = probs[0]
     for p in probs[1:]:
-        t = np.multiply.outer(t, p)
-    return probs, t.ravel()
+        t = (t[:, :, None] * p[:, None, :]).reshape(n, -1)
+    return probs, t
 
 
-def _topk_sum(psi: np.ndarray, effect_sets: list[list[np.ndarray]], k: int) -> float:
-    _, t = _tensor_stats(psi, effect_sets)
-    if k >= t.size:
-        return float(t.sum())
-    return float(np.sort(t)[-k:].sum())
+def topk_sums(t: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise sums of the k >= 1 largest entries of an (N, m) array."""
+    return np.sort(t, axis=1)[:, -k:].sum(axis=1)
 
 
-def _topk_gradient_op(psi: np.ndarray, effect_sets: list[list[np.ndarray]], k: int) -> np.ndarray:
+def _topk_gradient_op(psi: np.ndarray, effect_stacks: list[np.ndarray], k: int) -> np.ndarray:
     """Active-set gradient operator G with d f / d psi* = G psi."""
-    probs, t = _tensor_stats(psi, effect_sets)
-    shape = tuple(len(e) for e in effect_sets)
+    probs, t = tensor_stats(psi[None], effect_stacks)
+    probs = [p[0] for p in probs]
+    t = t[0]
+    shape = tuple(p.size for p in probs)
     if k >= t.size:
         sel = np.arange(t.size)
     else:
         sel = np.argpartition(t, -k)[-k:]
-    dim = effect_sets[0][0].shape[0]
-    g = np.zeros((dim, dim), dtype=complex)
+    g = np.zeros(effect_stacks[0].shape[1:], dtype=complex)
     for flat in sel:
         multi = np.unravel_index(flat, shape)
         for i, a in enumerate(multi):
@@ -168,28 +165,35 @@ def _topk_gradient_op(psi: np.ndarray, effect_sets: list[list[np.ndarray]], k: i
             for ip, ap in enumerate(multi):
                 if ip != i:
                     w *= probs[ip][ap]
-            g += w * effect_sets[i][a]
+            g += w * effect_stacks[i][a]
     return g
+
+
+# line-search step lengths 1, 1/2, ... down to the last one above 1e-12
+_STEPS = 0.5 ** np.arange(40)
 
 
 def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
               seed_seq: np.random.SeedSequence, maxiter: int = 400) -> float:
     """Maximize the top-k sum of the tensor statistics over pure states."""
-    effect_sets = [list(p.effects) for p in povms]
+    effect_stacks = [np.array(p.effects) for p in povms]
     dim = povms[0].dim
     children = seed_seq.spawn(restarts)
+
+    def values(kets: np.ndarray) -> np.ndarray:
+        return topk_sums(tensor_stats(kets, effect_stacks)[1], k)
 
     def run(child) -> float:
         rng = np.random.default_rng(child)
         psi = random_ket(dim, rng)
-        f = _topk_sum(psi, effect_sets, k)
+        f = float(values(psi[None])[0])
         for _ in range(maxiter):
-            op = _topk_gradient_op(psi, effect_sets, k)
+            op = _topk_gradient_op(psi, effect_stacks, k)
             # eigenvector jump of the active-set operator; exact whenever the
             # active set stays put, and it sidesteps the slow crawl a plain
             # gradient step suffers near degenerate optima
             jump = np.linalg.eigh(op)[1][:, -1]
-            f_jump = _topk_sum(jump, effect_sets, k)
+            f_jump = float(values(jump[None])[0])
             if f_jump > f + 1e-15:
                 gain = f_jump - f
                 psi, f = jump, f_jump
@@ -200,20 +204,16 @@ def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
             r = g - (psi.conj() @ g) * psi
             if np.linalg.norm(r) < 1e-13:
                 break
-            eta = 1.0
-            f_new = None
-            while eta > 1e-12:
-                cand = psi + eta * r
-                cand = cand / np.linalg.norm(cand)
-                fc = _topk_sum(cand, effect_sets, k)
-                if fc > f + 1e-15:
-                    psi, f_new = cand, fc
-                    break
-                eta *= 0.5
-            if f_new is None:
+            # backtracking line search, all steps in one batch: take the
+            # longest step that improves
+            cands = psi + _STEPS[:, None] * r
+            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+            fc = values(cands)
+            better = np.flatnonzero(fc > f + 1e-15)
+            if better.size == 0:
                 break
-            gain = f_new - f
-            f = f_new
+            gain = fc[better[0]] - f
+            psi, f = cands[better[0]], float(fc[better[0]])
             if gain < STEP_TOL:
                 break
         return f
@@ -290,13 +290,7 @@ def maassen_uffink(x: Observable, y: Observable, state: DensityState | None = No
     """
     if x.dim != y.dim:
         raise DimensionMismatch("observables must share one dimension")
-    if not x.nondegenerate or not y.nondegenerate:
-        raise Degenerate("observables must have nondegenerate spectra")
-    c2 = 0.0
-    for pk in x.projectors:
-        for qj in y.projectors:
-            c2 = max(c2, float(np.trace(pk @ qj).real))
-    bound = float(-np.log2(c2))
+    bound = float(-np.log2(_max_overlap(x, y)))
     if state is not None:
         bound += von_neumann_entropy(state)
     return bound

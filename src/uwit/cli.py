@@ -90,6 +90,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# Upper limits on the work a config can ask for.
+MAX_SCAN_POINTS = 10_000
+MAX_ORACLE_SAMPLES = 10**6
+MAX_ORACLE_GRID = 10**6
+
 _REQUIRED = object()
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
 
@@ -285,13 +290,15 @@ def _run_bound_only(config: dict, restarts: int, seed: int):
     census = grid_witness = None
     if "oracle" in config:
         opts = _field(config, "oracle", dict)
-        census = verify_majorization_bound(
-            bound,
-            _povms(meas),
-            samples=_field(opts, "samples", int, 1000),
-            seed=_field(opts, "seed", int, seed),
-        )
+        samples = _field(opts, "samples", int, 1000)
         grid = _field(opts, "grid", int, None)
+        for key, value, limit in (("samples", samples, MAX_ORACLE_SAMPLES),
+                                  ("grid", grid, MAX_ORACLE_GRID)):
+            if value is not None and value > limit:
+                raise ConfigParse(f"oracle {key} {value} exceeds the limit of {limit}")
+        census = verify_majorization_bound(
+            bound, _povms(meas), samples=samples, seed=_field(opts, "seed", int, seed)
+        )
         if grid is not None:
             grid_witness = brute_force_topk(_povms(meas), 1, grid)
     return bound, census, grid_witness
@@ -305,6 +312,10 @@ def _run_scan(config: dict, restarts: int, seed: int) -> ScanResult:
     start, stop, step = (_field(grid, key, float) for key in ("start", "stop", "step"))
     if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
         raise ConfigParse("scan grid needs finite start and stop and a positive step")
+    # np.arange makes ceil(span / step) points, more than the limit exactly
+    # when span / step exceeds it
+    if (stop + 1e-12 - start) / step > MAX_SCAN_POINTS:
+        raise ConfigParse(f"scan grid has more than {MAX_SCAN_POINTS} points")
     bisect_tol = _field(scan, "bisect_tol", float, 1e-4)
     evaluate = _criterion(_field(scan, "criterion", str), config, restarts, seed)
     return threshold_scan(

@@ -3,7 +3,10 @@
 Everything here is deliberately redundant with the analytic and optimized
 paths: random-state censuses quantify violations of majorization bounds,
 dense grids re-derive eigenvalue bounds and top-k maxima from below, and
-family scans locate detection thresholds by bisection.  The pseudorandom
+family scans locate detection thresholds by bisection.  The grid maximizers
+share the tensor-statistics kernel ``bounds.tensor_stats`` with the top-k
+ascent but search by another method; the census recomputes the statistics
+independently through ``born_stats``.  The pseudorandom
 generator is numpy's default PCG64, seeded explicitly, so every census and
 scan is reproducible across runs.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundVector, fine_grained_bound
+from .bounds import BoundVector, fine_grained_bound, tensor_stats, topk_sums
 from .criteria import DetectionReport
 from .errors import BadParameter, NonMonotoneScan
 from .parallel import parallel_map
@@ -24,7 +27,6 @@ from .probvec import SUM_TOL, ProbVec, majorization_excess, tensor_all
 from .quantum import (
     Povm,
     born_stats,
-    random_ket,
     random_mixed_state,
     random_pure_state,
 )
@@ -86,94 +88,61 @@ def verify_majorization_bound(bound: BoundVector, meas: Sequence[Povm],
     )
 
 
-def _qubit_probs(effects: Sequence[np.ndarray], cos_half: np.ndarray, sin_half: np.ndarray,
-                 phase_cos: np.ndarray, phase_sin: np.ndarray) -> list[np.ndarray]:
-    """Expectation of each effect over a batch of Bloch angles."""
-    out = []
-    for e in effects:
-        cross = 2.0 * (e[0, 1].real * phase_cos - e[0, 1].imag * phase_sin)
-        out.append(
-            e[0, 0].real * cos_half**2
-            + e[1, 1].real * sin_half**2
-            + cross * cos_half * sin_half
-        )
-    return out
-
-
-def _topk_over_bloch(effect_sets: Sequence[Sequence[np.ndarray]], k: int, zs: np.ndarray,
+def _topk_over_bloch(effect_stacks: Sequence[np.ndarray], k: int, zs: np.ndarray,
                      phis: np.ndarray) -> tuple[float, float, float]:
     """Best top-k tensor-statistic sum over the given Bloch grid points."""
     z, phi = np.meshgrid(zs, phis, indexing="ij")
     z = z.ravel()
     phi = phi.ravel()
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
-    cos_half = np.cos(theta / 2.0)
-    sin_half = np.sin(theta / 2.0)
-    probs = [
-        _qubit_probs(effects, cos_half, sin_half, np.cos(phi), np.sin(phi))
-        for effects in effect_sets
-    ]
-    t = np.stack(probs[0], axis=1)
-    for batch in probs[1:]:
-        nxt = np.stack(batch, axis=1)
-        t = (t[:, :, None] * nxt[:, None, :]).reshape(t.shape[0], -1)
-    if k >= t.shape[1]:
-        values = t.sum(axis=1)
-    else:
-        values = np.sort(t, axis=1)[:, -k:].sum(axis=1)
+    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
+    kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
+    values = topk_sums(tensor_stats(kets, effect_stacks)[1], k)
     best = int(np.argmax(values))
     return float(values[best]), float(z[best]), float(phi[best])
 
 
-def _bloch_maximize(effect_sets: Sequence[Sequence[np.ndarray]], k: int,
-                    grid_density: int) -> float:
+def _bloch_maximize(effect_stacks: Sequence[np.ndarray], k: int, grid_density: int) -> float:
     """Stratified Bloch grid followed by local zoom refinements."""
     n = max(int(np.sqrt(grid_density)), 8)
     zs = 1.0 - 2.0 * (np.arange(n) + 0.5) / n
     phis = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    best, z0, phi0 = _topk_over_bloch(effect_sets, k, zs, phis)
+    best, z0, phi0 = _topk_over_bloch(effect_stacks, k, zs, phis)
     dz = 2.0 / n
     dphi = 2.0 * np.pi / n
     for _ in range(3):
         zs = np.clip(np.linspace(z0 - 2 * dz, z0 + 2 * dz, 41), -1.0, 1.0)
         phis = np.linspace(phi0 - 2 * dphi, phi0 + 2 * dphi, 41)
-        value, z0, phi0 = _topk_over_bloch(effect_sets, k, zs, phis)
+        value, z0, phi0 = _topk_over_bloch(effect_stacks, k, zs, phis)
         best = max(best, value)
         dz /= 10.0
         dphi /= 10.0
     return best
 
 
-def _qutrit_maximize(effect_sets: Sequence[Sequence[np.ndarray]], k: int,
-                     grid_density: int) -> float:
+def _qutrit_maximize(effect_stacks: Sequence[np.ndarray], k: int, grid_density: int) -> float:
     """Seeded unit-vector sampling with shrinking local perturbations."""
     rng = np.random.default_rng(grid_density)
-    dim = effect_sets[0][0].shape[0]
+    dim = effect_stacks[0].shape[1]
 
-    def topk(psi: np.ndarray) -> float:
-        stats = [
-            np.clip([float(np.real(psi.conj() @ (e @ psi))) for e in effects], 0.0, None)
-            for effects in effect_sets
-        ]
-        t = stats[0]
-        for s in stats[1:]:
-            t = np.multiply.outer(t, s)
-        flat = np.sort(t.ravel())
-        return float(flat[-k:].sum()) if k < flat.size else float(flat.sum())
+    def values(kets: np.ndarray) -> np.ndarray:
+        return topk_sums(tensor_stats(kets, effect_stacks)[1], k)
 
-    best_val = -np.inf
-    best_psi = None
-    for _ in range(grid_density):
-        psi = random_ket(dim, rng)
-        v = topk(psi)
-        if v > best_val:
-            best_val, best_psi = v, psi
+    def draw(n: int) -> np.ndarray:
+        # the stream one random_ket call per row would draw: real parts, then imaginary
+        z = rng.normal(size=(n, 2, dim))
+        return z[:, 0] + 1j * z[:, 1]
+
+    kets = draw(grid_density)
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    samples = values(kets)
+    best = int(np.argmax(samples))
+    best_val, best_psi = float(samples[best]), kets[best]
     scale = 0.3
     for _ in range(6):
-        for _ in range(200):
-            cand = best_psi + scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        for noise in draw(200):
+            cand = best_psi + scale * noise
             cand = cand / np.linalg.norm(cand)
-            v = topk(cand)
+            v = float(values(cand[None])[0])
             if v > best_val:
                 best_val, best_psi = v, cand
         scale /= 4.0
@@ -191,11 +160,11 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     if k < 1 or grid_density < 1:
         raise BadParameter("k and the grid density must be at least 1")
     dim = meas[0].dim
-    effect_sets = [list(p.effects) for p in meas]
+    effect_stacks = [np.array(p.effects) for p in meas]
     if dim == 2:
-        return _bloch_maximize(effect_sets, k, grid_density)
+        return _bloch_maximize(effect_stacks, k, grid_density)
     if dim == 3:
-        return _qutrit_maximize(effect_sets, k, min(grid_density, 200_000))
+        return _qutrit_maximize(effect_stacks, k, min(grid_density, 200_000))
     raise BadParameter(f"brute force supports dimension 2 or 3, got {dim}")
 
 
@@ -207,7 +176,7 @@ def cross_check_fine_grained(meas: Sequence[Povm], outcomes: Sequence[str],
     eigen_value = fine_grained_bound(meas, outcomes, priors).value
     effects = [p.effect_for(label) for p, label in zip(meas, outcomes)]
     combined = sum(w * e for w, e in zip(priors.values, effects))
-    grid_value = _bloch_maximize([[combined]], 1, grid_density)
+    grid_value = _bloch_maximize([combined[None]], 1, grid_density)
     return eigen_value, grid_value
 
 

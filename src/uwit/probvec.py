@@ -117,12 +117,7 @@ def majorized_by(p: ProbVec, q: ProbVec, tol: float = SUM_TOL) -> bool:
     most the corresponding partial sum of q, within ``tol``.  The shorter
     vector is zero-padded to the common dimension first.
     """
-    d = max(p.dim, q.dim)
-    ps = np.zeros(d)
-    qs = np.zeros(d)
-    ps[: p.dim] = np.sort(p.values)[::-1]
-    qs[: q.dim] = np.sort(q.values)[::-1]
-    return bool(np.all(np.cumsum(ps) <= np.cumsum(qs) + tol))
+    return majorization_excess(p, q) <= tol
 
 
 def majorization_excess(p: ProbVec, q: ProbVec) -> float:

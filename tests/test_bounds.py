@@ -4,9 +4,12 @@ import pytest
 from uwit import (
     BadParameter,
     Degenerate,
+    DensityState,
     DimensionMismatch,
+    Povm,
     bell_phi_plus,
     born_stats,
+    brute_force_topk,
     fine_grained_bound,
     fine_grained_bound_product,
     maassen_uffink,
@@ -22,9 +25,14 @@ from uwit import (
     tensor_all,
     uniform,
 )
-from uwit.bounds import NUMERIC_SLACK, _concave_majorant_increments
-from uwit.oracle import _bloch_maximize
-from uwit.quantum import random_mixed_state, random_pure_state, random_qubit_observable
+from uwit.bounds import NUMERIC_SLACK, _concave_majorant_increments, tensor_stats, topk_sums
+from uwit.quantum import (
+    projector,
+    random_ket,
+    random_mixed_state,
+    random_pure_state,
+    random_qubit_observable,
+)
 
 SX = pauli_observable("x")
 SY = pauli_observable("y")
@@ -108,7 +116,7 @@ class TestOmegaNumeric:
 
     def test_validity_against_oracle_witness(self):
         bound = omega_numeric([SX.povm(), SZ.povm()], restarts=16, seed=2)
-        witness = _bloch_maximize([list(SX.povm().effects), list(SZ.povm().effects)], 1, 10_000)
+        witness = brute_force_topk([SX.povm(), SZ.povm()], 1, 10_000)
         assert bound.omega[0] >= witness - 1e-6
 
     def test_bad_restarts(self):
@@ -120,6 +128,45 @@ class TestOmegaNumeric:
         assert np.all(np.diff(increments) <= 1e-12)
         assert np.cumsum(increments)[0] >= 0.5
         assert np.cumsum(increments)[-1] == pytest.approx(1.0)
+
+
+def random_qutrit_povm(rng):
+    """Three-outcome qutrit POVM with full-rank, hence non-projective, effects."""
+    g = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    positive = g @ g.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(positive.sum(axis=0))
+    root = v @ np.diag(w**-0.5) @ v.conj().T
+    effects = [root @ a @ root for a in positive]
+    return Povm(tuple((e + e.conj().T) / 2 for e in effects), ("0", "1", "2"))
+
+
+KERNEL_SETS = {
+    "xy": [SX.povm(), SY.povm()],
+    "xyz": [SX.povm(), SY.povm(), SZ.povm()],
+    "mub:3:2": [o.povm() for o in mub_bases(3, 2)],
+    "mub:3:3": [o.povm() for o in mub_bases(3, 3)],
+    "qutrit-povm": [random_qutrit_povm(np.random.default_rng(45))],
+}
+
+
+class TestTensorStatsKernel:
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    def test_matches_born_stats_reference(self, name):
+        meas = KERNEL_SETS[name]
+        rng = np.random.default_rng(46)
+        kets = np.array([random_ket(meas[0].dim, rng) for _ in range(20)])
+        probs, t = tensor_stats(kets, [np.array(p.effects) for p in meas])
+        for row, psi in enumerate(kets):
+            state = DensityState(projector(psi))
+            stats = [born_stats(state, p) for p in meas]
+            for got, want in zip(probs, stats):
+                assert np.max(np.abs(got[row] - want.values)) <= 1e-12
+            ref = tensor_all(stats).values
+            assert np.max(np.abs(t[row] - ref)) <= 1e-12
+            cumulative = np.cumsum(np.sort(ref)[::-1])
+            for k in range(1, ref.size + 1):
+                top = topk_sums(t[row:row + 1], k)[0]
+                assert top == pytest.approx(cumulative[k - 1], abs=1e-12)
 
 
 class TestMaassenUffink:

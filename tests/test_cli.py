@@ -441,10 +441,13 @@ MALFORMED = {
     "numeric-quantifier": (EX1, ("quantifier",), 3),
     "numeric-oracle": ("bound_only", ("oracle",), 5),
     "non-numeric-samples": ("bound_only", ("oracle", "samples"), "many"),
+    "too-many-samples": ("bound_only", ("oracle", "samples"), 10**6 + 1),
+    "too-dense-oracle-grid": ("bound_only", ("oracle", "grid"), 10**6 + 1),
     "numeric-steering-outcomes": ("fine_grained_steering", ("outcomes",), 5),
     "numeric-alice-directions": ("preset:paper-eq12", ("alice_directions",), 5),
     "zero-step": (SCAN, ("scan", "grid", "step"), 0),
     "negative-step": (SCAN, ("scan", "grid", "step"), -0.1),
+    "too-many-scan-points": (SCAN, ("scan", "grid", "step"), 1e-15),
     "non-numeric-start": (SCAN, ("scan", "grid", "start"), "zero"),
     "non-numeric-bisect-tol": (SCAN, ("scan", "bisect_tol"), "fine"),
     "numeric-family": (SCAN, ("scan", "family"), 3),

@@ -76,9 +76,11 @@ class TestBruteForce:
         assert brute_force_topk([SZ.povm()], 1, 5_000) == pytest.approx(1.0, abs=1e-9)
 
     def test_brackets_numeric_bound(self):
-        bound = omega_numeric([SX.povm(), SZ.povm()], restarts=16, seed=11)
-        witness = brute_force_topk([SX.povm(), SZ.povm()], 1, 50_000)
-        assert bound.omega[0] >= witness - 1e-6
+        qubit = [SX.povm(), SZ.povm()]
+        qutrit = [o.povm() for o in mub_bases(3, 3)]
+        for meas, grid in ((qubit, 50_000), (qutrit, 3_000)):
+            bound = omega_numeric(meas, restarts=16, seed=11)
+            assert brute_force_topk(meas, 1, grid) <= bound.omega[0]
 
     def test_qutrit_mub(self):
         meas = [o.povm() for o in mub_bases(3, 2)]
