@@ -6,14 +6,19 @@ Two bound families are computed here:
   tensor product of the measurement statistics of every state is majorized
   by omega.  The two-dichotomic-measurement case has a closed form; the
   general case is obtained by maximizing top-k sums of the tensor statistics
-  over pure states with multi-restart projected gradient ascent.  One batched
-  kernel (``tensor_stats`` and ``topk_sums``) evaluates those statistics for
-  the ascent and for the brute-force maximizers in ``oracle``.
+  over pure states with multi-restart projected gradient ascent.  All
+  restarts advance together as one (R, d) stack of kets: each iteration
+  builds every row's gradient operator at once, takes the eigenvector jumps
+  with one batched ``eigh`` and runs every row's line search as one batch,
+  while each row keeps its own stopping rules.  One batched kernel
+  (``tensor_stats`` and ``topk_sums``) evaluates those statistics for the
+  ascent and for the brute-force maximizers in ``oracle``.
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
   prior-weighted effect sum; over product states on a bipartite split it is
-  estimated with alternating eigenvector iterations.
+  estimated with alternating eigenvector iterations, all restarts again
+  advancing as one batch.
 
 Numeric bounds are inflated by a small certified slack before use, so
 numerical error can only weaken a detection, never fabricate one.
@@ -34,7 +39,6 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
 )
-from .parallel import parallel_map
 from .probvec import ProbVec
 from .quantum import DensityState, Observable, Povm, random_ket, von_neumann_entropy
 
@@ -46,16 +50,35 @@ EIGEN_EXACT = "eigen_exact"
 ALTERNATING_NUMERIC = "alternating_numeric"
 
 
-def fingerprint_povms(povms: Sequence[Povm], extra: str = "") -> str:
-    """Stable hash identifying a measurement set (plus optional context)."""
+def _measurement_hash(povms: Sequence[Povm]):
     h = hashlib.sha256()
     for p in povms:
         h.update(str(p.dim).encode())
         for label, effect in zip(p.outcome_labels, p.effects):
             h.update(label.encode())
             h.update(np.ascontiguousarray(effect, dtype=complex).tobytes())
+    return h
+
+
+def _extended_digest(h, extra: str) -> str:
+    h = h.copy()
     h.update(extra.encode())
     return h.hexdigest()
+
+
+def fingerprint_povms(povms: Sequence[Povm], extra: str = "") -> str:
+    """Stable hash identifying a measurement set (plus optional context)."""
+    return _extended_digest(_measurement_hash(povms), extra)
+
+
+def outcome_string_fingerprints(povms: Sequence[Povm],
+                                strings: Sequence[tuple[str, ...]]) -> dict[tuple[str, ...], str]:
+    """``fingerprint_povms(povms, "|".join(s))`` for each outcome string ``s``.
+
+    The measurements are hashed once and the hash is extended by each string.
+    """
+    base = _measurement_hash(povms)
+    return {labels: _extended_digest(base, "|".join(labels)) for labels in strings}
 
 
 def observable_fingerprint(observables: Sequence[Observable]) -> str:
@@ -138,7 +161,7 @@ def tensor_stats(kets: np.ndarray,
     probs = [np.clip((outer @ e.reshape(-1, d * d).T).real, 0.0, None) for e in effect_stacks]
     t = probs[0]
     for p in probs[1:]:
-        t = (t[:, :, None] * p[:, None, :]).reshape(n, -1)
+        t = (t[:, :, None] * p[:, None, :]).reshape(n, t.shape[1] * p.shape[1])
     return probs, t
 
 
@@ -147,30 +170,87 @@ def topk_sums(t: np.ndarray, k: int) -> np.ndarray:
     return np.sort(t, axis=1)[:, -k:].sum(axis=1)
 
 
-def _topk_gradient_op(psi: np.ndarray, effect_stacks: list[np.ndarray], k: int) -> np.ndarray:
-    """Active-set gradient operator G with d f / d psi* = G psi."""
-    probs, t = tensor_stats(psi[None], effect_stacks)
-    probs = [p[0] for p in probs]
-    t = t[0]
-    shape = tuple(p.size for p in probs)
-    if k >= t.size:
-        sel = np.arange(t.size)
+def _topk_gradient_ops(kets: np.ndarray, effect_stacks: Sequence[np.ndarray],
+                       k: int) -> np.ndarray:
+    """Active-set gradient operators G with d f / d psi* = G psi, one per ket.
+
+    With S the k largest tensor-statistic entries of a ket, G is the sum over
+    measurements i and outcomes a of w_i[a] E_{i,a}, where w_i[a] adds up,
+    over the entries of S whose index at position i is a, the product of the
+    other measurements' statistics.  Returns an (N, d, d) stack.
+    """
+    probs, t = tensor_stats(kets, effect_stacks)
+    n, d = kets.shape
+    if k >= t.shape[1]:
+        mask = np.ones(t.shape)
     else:
-        sel = np.argpartition(t, -k)[-k:]
-    g = np.zeros(effect_stacks[0].shape[1:], dtype=complex)
-    for flat in sel:
-        multi = np.unravel_index(flat, shape)
-        for i, a in enumerate(multi):
-            w = 1.0
-            for ip, ap in enumerate(multi):
-                if ip != i:
-                    w *= probs[ip][ap]
-            g += w * effect_stacks[i][a]
-    return g
+        mask = np.zeros(t.shape)
+        np.put_along_axis(mask, np.argpartition(t, -k, axis=1)[:, -k:], 1.0, axis=1)
+    mask = mask.reshape((n,) + tuple(p.shape[1] for p in probs))
+    axes = list(range(len(probs) + 1))
+    g = np.zeros((n, d * d), dtype=complex)
+    for i, effects in enumerate(effect_stacks):
+        others = [x for j, p in enumerate(probs) if j != i for x in (p, [0, j + 1])]
+        w = np.einsum(mask, axes, *others, [0, i + 1])
+        g += w @ effects.reshape(-1, d * d)
+    return g.reshape(n, d, d)
 
 
 # line-search step lengths 1, 1/2, ... down to the last one above 1e-12
 _STEPS = 0.5 ** np.arange(40)
+# restarts are advanced in batches whose line-search stack of
+# (rows, steps, tensor entries) stays below this many entries, or holds a
+# single row when one row alone exceeds it
+_BATCH_ENTRIES = 2**22
+
+
+def _ascend_topk(kets: np.ndarray, effect_stacks: Sequence[np.ndarray], k: int,
+                 maxiter: int) -> np.ndarray:
+    """Top-k ascent from every row of an (R, d) stack of start kets at once.
+
+    Rows do not interact: each follows its own ascent and stops by its own
+    rules, and the (R,) array of final top-k sums is returned.
+    """
+    def values(stack: np.ndarray) -> np.ndarray:
+        return topk_sums(tensor_stats(stack, effect_stacks)[1], k)
+
+    psi = kets.copy()
+    f = values(psi)
+    active = np.arange(len(psi))
+    for _ in range(maxiter):
+        if active.size == 0:
+            break
+        cur, f_cur = psi[active], f[active]
+        ops = _topk_gradient_ops(cur, effect_stacks, k)
+        # eigenvector jump of the active-set operator; exact whenever the
+        # active set stays put, and it sidesteps the slow crawl a plain
+        # gradient step suffers near degenerate optima
+        jumps = np.linalg.eigh(ops)[1][:, :, -1]
+        f_jump = values(jumps)
+        jumped = f_jump > f_cur + 1e-15
+        psi[active[jumped]] = jumps[jumped]
+        f[active[jumped]] = f_jump[jumped]
+        going = jumped & (f_jump - f_cur >= STEP_TOL)
+        # rows whose jump did not improve take a projected gradient step
+        rows = np.flatnonzero(~jumped)
+        g = np.einsum("rij,rj->ri", ops[rows], cur[rows])
+        r = g - np.sum(cur[rows].conj() * g, axis=1, keepdims=True) * cur[rows]
+        moving = np.linalg.norm(r, axis=1) >= 1e-13
+        rows, r = rows[moving], r[moving]
+        # backtracking line search, all steps of all rows in one batch: each
+        # row takes its longest step that improves
+        cands = cur[rows, None, :] + _STEPS[None, :, None] * r[:, None, :]
+        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
+        fc = values(cands.reshape(-1, cands.shape[2])).reshape(len(rows), len(_STEPS))
+        better = fc > f_cur[rows, None] + 1e-15
+        found = better.any(axis=1)
+        rows, step = rows[found], better[found].argmax(axis=1)
+        f_step = fc[found, step]
+        psi[active[rows]] = cands[found, step]
+        f[active[rows]] = f_step
+        going[rows] = f_step - f_cur[rows] >= STEP_TOL
+        active = active[going]
+    return f
 
 
 def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
@@ -178,47 +258,12 @@ def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
     """Maximize the top-k sum of the tensor statistics over pure states."""
     effect_stacks = [np.array(p.effects) for p in povms]
     dim = povms[0].dim
-    children = seed_seq.spawn(restarts)
-
-    def values(kets: np.ndarray) -> np.ndarray:
-        return topk_sums(tensor_stats(kets, effect_stacks)[1], k)
-
-    def run(child) -> float:
-        rng = np.random.default_rng(child)
-        psi = random_ket(dim, rng)
-        f = float(values(psi[None])[0])
-        for _ in range(maxiter):
-            op = _topk_gradient_op(psi, effect_stacks, k)
-            # eigenvector jump of the active-set operator; exact whenever the
-            # active set stays put, and it sidesteps the slow crawl a plain
-            # gradient step suffers near degenerate optima
-            jump = np.linalg.eigh(op)[1][:, -1]
-            f_jump = float(values(jump[None])[0])
-            if f_jump > f + 1e-15:
-                gain = f_jump - f
-                psi, f = jump, f_jump
-                if gain < STEP_TOL:
-                    break
-                continue
-            g = op @ psi
-            r = g - (psi.conj() @ g) * psi
-            if np.linalg.norm(r) < 1e-13:
-                break
-            # backtracking line search, all steps in one batch: take the
-            # longest step that improves
-            cands = psi + _STEPS[:, None] * r
-            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-            fc = values(cands)
-            better = np.flatnonzero(fc > f + 1e-15)
-            if better.size == 0:
-                break
-            gain = fc[better[0]] - f
-            psi, f = cands[better[0]], float(fc[better[0]])
-            if gain < STEP_TOL:
-                break
-        return f
-
-    return max(parallel_map(run, children))
+    kets = np.array([random_ket(dim, np.random.default_rng(child))
+                     for child in seed_seq.spawn(restarts)])
+    entries = len(_STEPS) * int(np.prod([p.n_outcomes for p in povms]))
+    rows = max(1, _BATCH_ENTRIES // entries)
+    return max(float(_ascend_topk(kets[s:s + rows], effect_stacks, k, maxiter).max())
+               for s in range(0, restarts, rows))
 
 
 def _concave_majorant_increments(cumulative: np.ndarray) -> np.ndarray:
@@ -296,41 +341,47 @@ def maassen_uffink(x: Observable, y: Observable, state: DensityState | None = No
     return bound
 
 
-def fine_grained_bound(meas: Sequence[Povm], outcome_string: Sequence[str],
-                       priors: ProbVec) -> FineGrainedBound:
-    """Exact fine-grained bound: top eigenvalue of the prior-weighted effect sum."""
-    if len(outcome_string) != len(meas):
+def _fine_grained_bounds(meas: Sequence[Povm], strings: Sequence[tuple[str, ...]],
+                         priors: ProbVec) -> dict[tuple[str, ...], FineGrainedBound]:
+    if any(len(labels) != len(meas) for labels in strings):
         raise DimensionMismatch("one outcome per measurement is required")
     if priors.dim != len(meas):
         raise DimensionMismatch("one prior per measurement is required")
     dim = meas[0].dim
     if any(p.dim != dim for p in meas):
         raise DimensionMismatch("all measurements must act on one common dimension")
-    op = np.zeros((dim, dim), dtype=complex)
-    for w, povm, label in zip(priors.values, meas, outcome_string):
-        op += w * povm.effect_for(label)
-    w_all, v_all = np.linalg.eigh((op + op.conj().T) / 2.0)
-    value = float(w_all[-1])
-    witness = v_all[:, -1].copy()
+    fingerprints = outcome_string_fingerprints(meas, strings)
+    bounds = {}
+    for labels in strings:
+        op = np.zeros((dim, dim), dtype=complex)
+        for w, povm, label in zip(priors.values, meas, labels):
+            op += w * povm.effect_for(label)
+        w_all, v_all = np.linalg.eigh((op + op.conj().T) / 2.0)
+        bounds[labels] = FineGrainedBound(
+            value=float(w_all[-1]),
+            outcome_string=labels,
+            priors=priors,
+            operator_norm_witness=v_all[:, -1].copy(),
+            measurement_fingerprint=fingerprints[labels],
+            method=EIGEN_EXACT,
+            certified_slack=0.0,
+        )
+    return bounds
+
+
+def fine_grained_bound(meas: Sequence[Povm], outcome_string: Sequence[str],
+                       priors: ProbVec) -> FineGrainedBound:
+    """Exact fine-grained bound: top eigenvalue of the prior-weighted effect sum."""
     labels = tuple(str(s) for s in outcome_string)
-    return FineGrainedBound(
-        value=value,
-        outcome_string=labels,
-        priors=priors,
-        operator_norm_witness=witness,
-        measurement_fingerprint=fingerprint_povms(meas, extra="|".join(labels)),
-        method=EIGEN_EXACT,
-        certified_slack=0.0,
-    )
+    return _fine_grained_bounds(meas, [labels], priors)[labels]
 
 
 def fine_grained_bound_map(meas: Sequence[Povm],
                            priors: ProbVec) -> dict[tuple[str, ...], FineGrainedBound]:
     """Exact fine-grained bounds for every outcome string of ``meas``."""
-    return {
-        labels: fine_grained_bound(meas, labels, priors)
-        for labels in itertools.product(*(p.outcome_labels for p in meas))
-    }
+    return _fine_grained_bounds(
+        meas, list(itertools.product(*(p.outcome_labels for p in meas))), priors
+    )
 
 
 def setting_pairs(n_a: int, n_b: int) -> list[tuple[int, int]]:
@@ -373,6 +424,42 @@ def matched_outcome_events(povm_a: Povm, povm_b: Povm) -> list[tuple[str, str]]:
     return [(a, b) for a, b in zip(povm_a.outcome_labels, povm_b.outcome_labels)]
 
 
+def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.ndarray,
+               effects_b: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating eigenvector ascent from every row of the (R, da) and (R, db) start kets.
+
+    The objective is the sum over terms t of weights[t] <u|A_t|u> <v|B_t|v>
+    for the (T, d, d) term effects A and B.  Each half-step fixes one side
+    and moves the other to the top eigenvector of its weighted effect sum.
+    Rows do not interact; each stops once an iteration gains less than
+    ``STEP_TOL``.  Returns the (R,) values and the final kets.
+    """
+    def expectations(kets: np.ndarray, effects: np.ndarray) -> np.ndarray:
+        return tensor_stats(kets, [effects])[1]
+
+    def top_eigenvectors(coeffs: np.ndarray, effects: np.ndarray) -> np.ndarray:
+        d = effects.shape[1]
+        ops = (coeffs @ effects.reshape(len(effects), d * d)).reshape(-1, d, d)
+        return np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)[1][:, :, -1]
+
+    u, v = u.copy(), v.copy()
+    exp_b = expectations(v, effects_b)
+    f = (weights * expectations(u, effects_a) * exp_b).sum(axis=1)
+    active = np.arange(len(u))
+    for _ in range(maxiter):
+        u[active] = top_eigenvectors(weights * exp_b[active], effects_a)
+        exp_a = expectations(u[active], effects_a)
+        v[active] = top_eigenvectors(weights * exp_a, effects_b)
+        exp_b[active] = expectations(v[active], effects_b)
+        f_new = (weights * exp_a * exp_b[active]).sum(axis=1)
+        going = f_new - f[active] >= STEP_TOL
+        f[active] = f_new
+        active = active[going]
+        if active.size == 0:
+            return f, u, v
+    raise NoConvergence(f"alternating ascent still improving after {maxiter} iterations")
+
+
 def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
                                outcomes, priors: ProbVec, restarts: int = 32,
                                seed: int = 0, maxiter: int = 200) -> FineGrainedBound:
@@ -392,51 +479,27 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
     if priors.dim != len(pairs):
         raise DimensionMismatch(f"priors must cover all {len(pairs)} setting pairs")
     events = _pair_events(meas_a, meas_b, outcomes)
-    terms: list[tuple[float, np.ndarray, np.ndarray]] = []
+    weights, effects_a, effects_b = [], [], []
     for weight, (i, j), event in zip(priors.values, pairs, events):
         if weight == 0.0:
             continue
         for a_label, b_label in event:
-            terms.append((float(weight), meas_a[i].effect_for(a_label),
-                          meas_b[j].effect_for(b_label)))
-
-    def expect(op: np.ndarray, vec: np.ndarray) -> float:
-        return float(np.real(vec.conj() @ (op @ vec)))
-
-    def objective(u: np.ndarray, v: np.ndarray) -> float:
-        return sum(w * expect(fa, u) * expect(gb, v) for w, fa, gb in terms)
-
-    children = np.random.SeedSequence(seed).spawn(restarts)
-
-    def run(child):
-        rng = np.random.default_rng(child)
-        u = random_ket(da, rng)
-        v = random_ket(db, rng)
-        f = objective(u, v)
-        for _ in range(maxiter):
-            op_a = np.zeros((da, da), dtype=complex)
-            for w, fa, gb in terms:
-                op_a += w * expect(gb, v) * fa
-            u = np.linalg.eigh((op_a + op_a.conj().T) / 2.0)[1][:, -1]
-            op_b = np.zeros((db, db), dtype=complex)
-            for w, fa, gb in terms:
-                op_b += w * expect(fa, u) * gb
-            v = np.linalg.eigh((op_b + op_b.conj().T) / 2.0)[1][:, -1]
-            f_new = objective(u, v)
-            if f_new - f < STEP_TOL:
-                return f_new, u, v
-            f = f_new
-        raise NoConvergence(f"alternating ascent still improving after {maxiter} iterations")
-
-    results = parallel_map(run, children)
-    best, u_best, v_best = max(results, key=lambda r: r[0])
+            weights.append(float(weight))
+            effects_a.append(meas_a[i].effect_for(a_label))
+            effects_b.append(meas_b[j].effect_for(b_label))
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
+    u0, v0 = (np.array(kets) for kets in zip(*((random_ket(da, rng), random_ket(db, rng))
+                                                for rng in rngs)))
+    f, u, v = _alternate(u0, v0, np.array(weights), np.array(effects_a).reshape(-1, da, da),
+                         np.array(effects_b).reshape(-1, db, db), maxiter)
+    best = int(np.argmax(f))
     a_labels = tuple(lab for event in events for lab, _ in event)
     b_labels = tuple(lab for event in events for _, lab in event)
     return FineGrainedBound(
-        value=min(best + NUMERIC_SLACK, 1.0),
+        value=min(float(f[best]) + NUMERIC_SLACK, 1.0),
         outcome_string=a_labels + b_labels,
         priors=priors,
-        operator_norm_witness=np.kron(u_best, v_best),
+        operator_norm_witness=np.kron(u[best], v[best]),
         measurement_fingerprint=fingerprint_povms(
             list(meas_a) + list(meas_b),
             extra=repr(events),

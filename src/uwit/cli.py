@@ -310,8 +310,8 @@ def _run_scan(config: dict, restarts: int, seed: int) -> ScanResult:
     build_state = _ref(family, _FAMILIES, "scan family")
     grid = _field(scan, "grid")
     start, stop, step = (_field(grid, key, float) for key in ("start", "stop", "step"))
-    if not (step > 0 and math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigParse("scan grid needs finite start and stop and a positive step")
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
+        raise ConfigParse("scan grid needs a finite start and stop and a finite positive step")
     # np.arange makes ceil(span / step) points, more than the limit exactly
     # when span / step exceeds it
     if (stop + 1e-12 - start) / step > MAX_SCAN_POINTS:

@@ -35,6 +35,7 @@ from .bounds import (
     fine_grained_bound_map,
     fingerprint_povms,
     observable_fingerprint,
+    outcome_string_fingerprints,
     setting_pairs,
 )
 from .errors import (
@@ -197,9 +198,8 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
 
 
 def _check_fine_grained_bound(bound: FineGrainedBound, labels: tuple[str, ...],
-                              bob_meas: Sequence[Povm], priors_bob: ProbVec) -> None:
-    expected = fingerprint_povms(bob_meas, extra="|".join(labels))
-    if bound.measurement_fingerprint != expected:
+                              fingerprint: str, priors_bob: ProbVec) -> None:
+    if bound.measurement_fingerprint != fingerprint:
         raise FingerprintMismatch(
             f"bound for {labels} was not generated from Bob's measurements and that string"
         )
@@ -249,11 +249,13 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     if not isinstance(bounds, Mapping):
         raise BadParameter("bounds must map every Bob outcome string to its bound")
     bound_map = {tuple(k): v for k, v in bounds.items()}
+    strings = list(itertools.product(*(p.outcome_labels for p in bob_meas)))
+    fingerprints = outcome_string_fingerprints(bob_meas, strings)
     used = []
-    for labels in itertools.product(*(p.outcome_labels for p in bob_meas)):
+    for labels in strings:
         if labels not in bound_map:
             raise BadParameter(f"no bound supplied for outcome string {labels}")
-        _check_fine_grained_bound(bound_map[labels], labels, bob_meas, priors_bob)
+        _check_fine_grained_bound(bound_map[labels], labels, fingerprints[labels], priors_bob)
         used.append(bound_map[labels])
     bound_value = max(b.value for b in used)
     certified = all(b.certified for b in used)

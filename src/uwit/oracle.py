@@ -31,6 +31,10 @@ from .quantum import (
     random_pure_state,
 )
 
+# Largest qutrit sample count; the initial samples are evaluated as one
+# batch, whose memory grows with this count times the tensor size.
+MAX_QUTRIT_GRID = 200_000
+
 
 @dataclass(frozen=True)
 class ViolationCensus:
@@ -155,7 +159,8 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     Always evaluates actual states, so the result is a valid lower witness
     for the optimized cumulative bound entries.  Qubits use a stratified
     Bloch-angle grid with zoom refinement; qutrits use seeded unit-vector
-    sampling.  Larger dimensions are out of scope.
+    sampling of at most ``MAX_QUTRIT_GRID`` points.  Larger dimensions are
+    out of scope.
     """
     if k < 1 or grid_density < 1:
         raise BadParameter("k and the grid density must be at least 1")
@@ -164,7 +169,11 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     if dim == 2:
         return _bloch_maximize(effect_stacks, k, grid_density)
     if dim == 3:
-        return _qutrit_maximize(effect_stacks, k, min(grid_density, 200_000))
+        if grid_density > MAX_QUTRIT_GRID:
+            raise BadParameter(
+                f"qutrit grid density {grid_density} exceeds the limit of {MAX_QUTRIT_GRID}"
+            )
+        return _qutrit_maximize(effect_stacks, k, grid_density)
     raise BadParameter(f"brute force supports dimension 2 or 3, got {dim}")
 
 

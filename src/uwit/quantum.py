@@ -18,7 +18,6 @@ HERM_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_MERGE_TOL = 1e-8    # eigenvalues closer than this share one projector
-PRODUCT_BIN_TOL = 1e-9  # eigenvalue products closer than this share one outcome
 MAX_DIM = 64
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -227,11 +226,15 @@ def born_stats(state: DensityState, meas: Povm) -> ProbVec:
 
 
 def product_observable_stats(state: DensityState, a: Observable, b: Observable) -> ProbVec:
-    """Statistics of the joint observable a (x) b, binned by eigenvalue product.
+    """Statistics of the joint measurement of a (x) b, binned by outcome index.
 
-    Outcomes whose eigenvalue products agree within ``PRODUCT_BIN_TOL`` are
-    merged into one bin; the returned distribution is indexed by the distinct
-    products in descending order.
+    Outcomes are indexed by descending eigenvalue.  When both observables
+    have n outcomes, joint outcome (i, j) goes to bin (i - j) mod n; each bin
+    shift relabels one party's outcomes, so for a product state the binned
+    distribution is a mixture of relabelings of either party's statistics
+    and is majorized by both, whatever the spectra.  For the +/-1 Paulis the
+    bins are the eigenvalue products +1 and -1.  With unequal outcome counts
+    the full joint distribution is returned in row-major order.
     """
     if state.dims is None:
         raise DimensionMismatch("state needs a bipartite factorization")
@@ -240,20 +243,15 @@ def product_observable_stats(state: DensityState, a: Observable, b: Observable) 
         raise DimensionMismatch(
             f"observables of dimension ({a.dim}, {b.dim}) do not fit factors {state.dims}"
         )
-    pairs = []
-    for ev_a, proj_a in zip(a.eigenvalues, a.projectors):
-        for ev_b, proj_b in zip(b.eigenvalues, b.projectors):
-            prob = float(np.trace(np.kron(proj_a, proj_b) @ state.matrix).real)
-            pairs.append((ev_a * ev_b, max(prob, 0.0)))
-    pairs.sort(key=lambda t: -t[0])
-    binned: list[float] = []
-    current_value = None
-    for value, prob in pairs:
-        if current_value is not None and abs(value - current_value) <= PRODUCT_BIN_TOL:
-            binned[-1] += prob
-        else:
-            binned.append(prob)
-            current_value = value
+    joint = [[max(float(np.trace(np.kron(proj_a, proj_b) @ state.matrix).real), 0.0)
+              for proj_b in b.projectors] for proj_a in a.projectors]
+    n = len(a.projectors)
+    if len(b.projectors) != n:
+        return ProbVec([p for row in joint for p in row])
+    binned = [0.0] * n
+    for i, row in enumerate(joint):
+        for j, prob in enumerate(row):
+            binned[(i - j) % n] += prob
     return ProbVec(binned)
 
 

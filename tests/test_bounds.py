@@ -1,3 +1,8 @@
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,12 +11,15 @@ from uwit import (
     Degenerate,
     DensityState,
     DimensionMismatch,
+    NoConvergence,
     Povm,
     bell_phi_plus,
     born_stats,
     brute_force_topk,
     fine_grained_bound,
+    fine_grained_bound_map,
     fine_grained_bound_product,
+    fingerprint_povms,
     maassen_uffink,
     make_probvec,
     majorized_by,
@@ -25,7 +33,17 @@ from uwit import (
     tensor_all,
     uniform,
 )
-from uwit.bounds import NUMERIC_SLACK, _concave_majorant_increments, tensor_stats, topk_sums
+from uwit import bounds
+from uwit.bounds import (
+    NUMERIC_SLACK,
+    _alternate,
+    _ascend_topk,
+    _concave_majorant_increments,
+    _max_topk,
+    outcome_string_fingerprints,
+    tensor_stats,
+    topk_sums,
+)
 from uwit.quantum import (
     projector,
     random_ket,
@@ -122,6 +140,41 @@ class TestOmegaNumeric:
     def test_bad_restarts(self):
         with pytest.raises(BadParameter):
             omega_numeric([SX.povm()], restarts=0)
+
+    @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3"])
+    def test_batch_rows_do_not_interact(self, name, monkeypatch):
+        # a batch of start kets ends where each ket's own one-row run ends,
+        # and splitting the restarts into several batches changes nothing
+        meas = KERNEL_SETS[name]
+        effect_stacks = [np.array(p.effects) for p in meas]
+        rng = np.random.default_rng(47)
+        kets = np.array([random_ket(meas[0].dim, rng) for _ in range(8)])
+        tensor_size = int(np.prod([p.n_outcomes for p in meas]))
+        for k in range(1, meas[0].n_outcomes):
+            batch = _ascend_topk(kets, effect_stacks, k, 400)
+            rows = [_ascend_topk(kets[i:i + 1], effect_stacks, k, 400)[0] for i in range(8)]
+            assert np.max(np.abs(batch - rows)) <= 1e-12
+            whole = _max_topk(meas, k, 8, np.random.SeedSequence(5))
+            with monkeypatch.context() as patch:
+                # batches of three restarts
+                patch.setattr(bounds, "_BATCH_ENTRIES", 3 * len(bounds._STEPS) * tensor_size)
+                assert abs(_max_topk(meas, k, 8, np.random.SeedSequence(5)) - whole) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["x/y", "x/y/z", "mub:3:2", "mub:3:3"])
+    def test_matches_per_restart_loop_values(self, name):
+        reference = json.loads(
+            (Path(__file__).with_name("omega_numeric_reference.json")).read_text()
+        )
+        meas = {
+            "x/y": [SX.povm(), SY.povm()],
+            "x/y/z": [SX.povm(), SY.povm(), SZ.povm()],
+            "mub:3:2": [o.povm() for o in mub_bases(3, 2)],
+            "mub:3:3": [o.povm() for o in mub_bases(3, 3)],
+        }[name]
+        for seed, want in enumerate(reference["omega"][name]):
+            got = omega_numeric(meas, restarts=reference["restarts"], seed=seed).omega.values
+            assert np.max(np.abs(got[:len(want)] - want)) <= 1e-9
+            assert np.all(got[len(want):] == 0.0)
 
     def test_concave_majorant_repair(self):
         increments = _concave_majorant_increments(np.array([0.5, 0.6, 1.0]))
@@ -251,6 +304,29 @@ class TestFineGrainedProduct:
         with pytest.raises(DimensionMismatch):
             fine_grained_bound_product(meas, meas, (("+",), ("+", "0")), priors, restarts=2)
 
+    def test_batch_rows_do_not_interact(self):
+        # random rank-one term effects, from which the rows need four to
+        # nine iterations; each row ends where its one-row run ends
+        rng = np.random.default_rng(2)
+        effects_a = np.array([projector(random_ket(3, rng)) for _ in range(5)])
+        effects_b = np.array([projector(random_ket(3, rng)) for _ in range(5)])
+        weights = rng.exponential(size=5)
+        u = np.array([random_ket(3, rng) for _ in range(8)])
+        v = np.array([random_ket(3, rng) for _ in range(8)])
+        f, u_end, v_end = _alternate(u, v, weights, effects_a, effects_b, 200)
+        for i in range(8):
+            f_i, u_i, v_i = _alternate(u[i:i + 1], v[i:i + 1], weights, effects_a, effects_b, 200)
+            assert abs(f[i] - f_i[0]) <= 1e-12
+            assert np.allclose(u_end[i], u_i[0], atol=1e-12)
+            assert np.allclose(v_end[i], v_i[0], atol=1e-12)
+
+    def test_still_improving_after_maxiter_raises(self):
+        meas = [SX.povm(), SZ.povm()]
+        priors = make_probvec((0.5, 0.0, 0.0, 0.5))
+        with pytest.raises(NoConvergence):
+            fine_grained_bound_product(meas, meas, (("+", "0"), ("+", "0")), priors,
+                                       restarts=8, seed=1, maxiter=1)
+
     def test_empty_event_drops_a_setting(self):
         # emptying one setting pair's event leaves the prior-weighted
         # maximum of the remaining pair, by linearity
@@ -272,6 +348,29 @@ class TestFingerprints:
             omega_two_dichotomic(SX, SY).measurement_fingerprint
             != omega_two_dichotomic(SZ, SX).measurement_fingerprint
         )
+
+    def test_digests_match_per_effect_formula(self):
+        def reference(povms, extra=""):
+            h = hashlib.sha256()
+            for p in povms:
+                h.update(str(p.dim).encode())
+                for label, effect in zip(p.outcome_labels, p.effects):
+                    h.update(label.encode())
+                    h.update(np.ascontiguousarray(effect, dtype=complex).tobytes())
+            h.update(extra.encode())
+            return h.hexdigest()
+
+        for meas in KERNEL_SETS.values():
+            for extra in ("", "x", "[[('+', '0')]]"):
+                assert fingerprint_povms(meas, extra) == reference(meas, extra)
+            strings = list(itertools.product(*(p.outcome_labels for p in meas)))
+            fingerprints = outcome_string_fingerprints(meas, strings)
+            assert fingerprints == {s: reference(meas, "|".join(s)) for s in strings}
+            priors = uniform(len(meas))
+            for labels, bound in fine_grained_bound_map(meas, priors).items():
+                assert bound.measurement_fingerprint == reference(meas, "|".join(labels))
+            assert (fine_grained_bound(meas, strings[-1], priors).measurement_fingerprint
+                    == reference(meas, "|".join(strings[-1])))
 
     def test_random_pair_validity(self):
         rng = np.random.default_rng(43)

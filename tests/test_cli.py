@@ -13,6 +13,7 @@ from uwit import (
     fine_grained_bound,
     fine_grained_bound_map,
     lhs_assemblage,
+    mub_bases,
     observable_from_matrix,
     pauli_observable,
     steer,
@@ -23,6 +24,7 @@ from uwit.assemblage import matrix_to_json
 from uwit.quantum import projector
 from uwit.cli import PRESETS, load_config, main, run
 from uwit.errors import ConfigParse
+from uwit.oracle import MAX_QUTRIT_GRID
 
 
 def write_config(tmp_path, config, name="scenario.json"):
@@ -193,11 +195,24 @@ def witness_qutrit_config():
     return witness_steering_config(specs, bob, weakest, strongest)
 
 
+def qutrit_product_entanglement_config():
+    # projector 2 of each basis has eigenvalue 0 under the mub spectrum (2, 1, 0)
+    first, second = (o.projectors[2] for o in mub_bases(3, 2))
+    return {
+        "scenario_kind": "entanglement",
+        "flavor": "universal",
+        "state": {"matrix": matrix_to_json(np.kron(first, second)), "dims": [3, 3]},
+        "measurements": {"x": "mub:3:2"},
+        "quantifier": "shannon",
+    }
+
+
 COMPUTED = {
     "assemblage": assemblage_config,
     "inline_state": inline_state_config,
     "witness_qubit": witness_qubit_config,
     "witness_qutrit": witness_qutrit_config,
+    "qutrit_product_entanglement": qutrit_product_entanglement_config,
 }
 
 
@@ -319,6 +334,11 @@ class TestScenarios:
     def test_witness_lhs_six_qutrit_settings_not_detected(self, tmp_path):
         assert run(write_config(tmp_path, witness_qutrit_config()), quiet=True) == 0
 
+    def test_qutrit_product_state_not_detected(self, tmp_path):
+        for q in ("shannon", "min_entropy"):
+            config = mutated(qutrit_product_entanglement_config(), ("quantifier",), q)
+            assert run(write_config(tmp_path, config), quiet=True) == 0
+
     def test_assemblage_ingestion(self, tmp_path):
         assert run(write_config(tmp_path, assemblage_config()), quiet=True) == 2
 
@@ -412,6 +432,16 @@ class TestErrors:
         )
         assert main([path]) == 1
 
+    def test_qutrit_oracle_grid_above_its_limit(self, tmp_path, capsys):
+        config = {
+            "scenario_kind": "bound_only",
+            "measurements": {"meas": "mub:3:2"},
+            "oracle": {"samples": 1, "grid": MAX_QUTRIT_GRID + 1},
+        }
+        assert main([write_config(tmp_path, config), "--restarts", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_load_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
@@ -448,6 +478,7 @@ MALFORMED = {
     "zero-step": (SCAN, ("scan", "grid", "step"), 0),
     "negative-step": (SCAN, ("scan", "grid", "step"), -0.1),
     "too-many-scan-points": (SCAN, ("scan", "grid", "step"), 1e-15),
+    "infinite-step": (SCAN, ("scan", "grid", "step"), 1e999),
     "non-numeric-start": (SCAN, ("scan", "grid", "start"), "zero"),
     "non-numeric-bisect-tol": (SCAN, ("scan", "bisect_tol"), "fine"),
     "numeric-family": (SCAN, ("scan", "family"), 3),

@@ -22,6 +22,7 @@ from uwit import (
     make_probvec,
     matched_outcome_events,
     maximally_mixed,
+    observable_from_matrix,
     omega_two_dichotomic,
     pauli_observable,
     Povm,
@@ -35,7 +36,7 @@ from uwit import (
 )
 from uwit.criteria import DETECTION_MARGIN
 from uwit.oracle import random_lhs_fixture, threshold_scan
-from uwit.quantum import projector, random_mixed_state
+from uwit.quantum import PAULI_X, PAULI_Z, projector, random_mixed_state
 
 SX = pauli_observable("x")
 SY = pauli_observable("y")
@@ -87,6 +88,18 @@ class TestEntanglementUniversal:
         report = entanglement_universal(ket00, (SX, SY), (SX, SY), SHANNON, OMEGA_XY, OMEGA_XY)
         assert not report.detected
         assert report.lhs_value == pytest.approx(2.0, abs=1e-9)
+
+    def test_zero_eigenvalue_product_state_not_detected(self):
+        # (I + sigma_z)/2 and (I + sigma_x)/2 have eigenvalues 1 and 0, so
+        # binning by the eigenvalue product put three joint outcomes in one bin
+        a = observable_from_matrix((np.eye(2) + PAULI_Z) / 2)
+        b = observable_from_matrix((np.eye(2) + PAULI_X) / 2)
+        bound = omega_two_dichotomic(a, b)
+        state = kron_state(DensityState(projector([0.0, 1.0])),
+                           DensityState(projector([1.0, -1.0])))
+        for q in (SHANNON, MIN_ENTROPY):
+            report = entanglement_universal(state, (a, b), (a, b), q, bound, bound)
+            assert report.verdict == "NotDetected"
 
     def test_maximally_mixed_not_detected(self):
         report = entanglement_universal(

@@ -23,7 +23,7 @@ from uwit import (
 )
 from uwit.bounds import BoundVector
 from uwit.criteria import DetectionReport
-from uwit.oracle import random_lhs_fixture
+from uwit.oracle import MAX_QUTRIT_GRID, random_lhs_fixture
 from uwit.probvec import ProbVec
 
 SX = pauli_observable("x")
@@ -99,6 +99,8 @@ class TestBruteForce:
     def test_grid_density_guard(self):
         with pytest.raises(BadParameter):
             brute_force_topk([SX.povm()], 1, -5)
+        with pytest.raises(BadParameter):
+            brute_force_topk([o.povm() for o in mub_bases(3, 2)], 1, MAX_QUTRIT_GRID + 1)
 
 
 class TestCrossCheck:

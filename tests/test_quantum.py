@@ -163,6 +163,39 @@ class TestProductStats:
             assert majorized_by(joint, born_stats(eta, a.povm()))
             assert majorized_by(joint, born_stats(sigma, b.povm()))
 
+    def test_local_majorization_for_any_spectrum(self):
+        # zero and shared eigenvalues make eigenvalue products collide; binned
+        # by outcome index, product-state statistics stay majorized by both
+        # local ones, also for qutrits and for unequal outcome counts
+        rng = np.random.default_rng(37)
+
+        def observable(d):
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            spectrum = rng.choice((0.0, 1.0, 2.0, -1.0, 0.5, 0.5 + 2e-8), size=d, replace=False)
+            return observable_from_matrix(q @ np.diag(spectrum) @ q.conj().T)
+
+        for da, db in ((2, 2), (3, 3), (2, 3), (3, 2)):
+            for _ in range(100):
+                eta, sigma = random_mixed_state(da, rng), random_mixed_state(db, rng)
+                a, b = observable(da), observable(db)
+                joint = product_observable_stats(kron_state(eta, sigma), a, b)
+                assert majorized_by(joint, born_stats(eta, a.povm()))
+                assert majorized_by(joint, born_stats(sigma, b.povm()))
+
+    def test_bins_follow_outcome_index(self):
+        rng = np.random.default_rng(38)
+        for da, db in ((2, 2), (3, 3), (2, 3)):
+            state = random_mixed_state(da * db, rng, dims=(da, db))
+            a = observable_from_matrix(np.diag(np.arange(da, 0, -1.0) - 1.0))
+            b = observable_from_matrix(np.diag(np.arange(db, 0, -1.0) - 1.0))
+            joint = np.real(np.diag(state.matrix)).reshape(da, db)
+            stats = product_observable_stats(state, a, b).values
+            if da == db:
+                want = [sum(joint[i, (i - c) % da] for i in range(da)) for c in range(da)]
+            else:
+                want = joint.ravel()
+            assert np.allclose(stats, want, atol=1e-12)
+
 
 class TestPartialTrace:
     def test_bell(self):
