@@ -27,7 +27,6 @@ from .bounds import (
     maassen_uffink,
     matched_outcome_events,
     mub_fine_grained_bound,
-    observable_fingerprint,
     omega_numeric,
     omega_two_dichotomic,
     setting_pairs,

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, NotADistribution
+from .errors import BadParameter, DimensionMismatch, NotADistribution, NotHermitian
 from .probvec import ProbVec
-from .quantum import DensityState, Povm, _as_square_complex
+from .quantum import HERM_TOL, PSD_TOL, DensityState, Povm, _as_square_complex
 
-PSD_TOL = 1e-9
 CONSISTENCY_TOL = 1e-8
 EPS_COND = 1e-10    # outcomes with smaller weight are omitted, not renormalized
 
@@ -42,6 +41,10 @@ class Assemblage:
                 op = _as_square_complex(self.elements[(setting, outcome)])
                 if op.shape[0] != self.bob_dim:
                     raise DimensionMismatch("element dimension differs from bob_dim")
+                if np.max(np.abs(op - op.conj().T)) > HERM_TOL:
+                    raise NotHermitian(
+                        f"assemblage element ({setting}, {outcome}) is not Hermitian"
+                    )
                 wmin = float(np.linalg.eigvalsh((op + op.conj().T) / 2.0)[0])
                 if wmin < -PSD_TOL:
                     raise BadParameter(
@@ -63,9 +66,6 @@ class Assemblage:
 
     def element(self, setting: int, outcome: str) -> np.ndarray:
         return self.elements[(setting, outcome)]
-
-    def outcome_weight(self, setting: int, outcome: str) -> float:
-        return float(np.trace(self.elements[(setting, outcome)]).real)
 
     def reduced_state(self) -> DensityState:
         total = sum(self.elements[(self.settings[0], o)] for o in self.outcomes[self.settings[0]])

@@ -81,10 +81,6 @@ def outcome_string_fingerprints(povms: Sequence[Povm],
     return {labels: _extended_digest(base, "|".join(labels)) for labels in strings}
 
 
-def observable_fingerprint(observables: Sequence[Observable]) -> str:
-    return fingerprint_povms([o.povm() for o in observables])
-
-
 @dataclass(frozen=True)
 class BoundVector:
     """Majorization bound omega for a measurement set."""
@@ -124,7 +120,7 @@ def _max_overlap(x: Observable, y: Observable) -> float:
     """Largest squared eigenvector overlap max_kj tr(P_k Q_j), clipped at zero."""
     if not x.nondegenerate or not y.nondegenerate:
         raise Degenerate("observables must have nondegenerate spectra")
-    return max(0.0, *(float(np.trace(pk @ qj).real) for pk in x.projectors for qj in y.projectors))
+    return max(0.0, *(float(np.trace(pk @ qj).real) for pk in x.effects for qj in y.effects))
 
 
 def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
@@ -142,7 +138,7 @@ def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
     return BoundVector(
         omega=ProbVec([gamma1, 1.0 - gamma1, 0.0, 0.0]),
         method=ANALYTIC_TWO_DICHOTOMIC,
-        measurement_fingerprint=observable_fingerprint([x, y]),
+        measurement_fingerprint=fingerprint_povms([x, y]),
         certified_slack=0.0,
     )
 

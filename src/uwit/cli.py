@@ -168,10 +168,10 @@ def _state(spec) -> DensityState:
     return _ref(spec, _STATES, "state")
 
 
-def _measurements(spec) -> list[Observable | Povm]:
+def _measurements(spec) -> list[Povm]:
     if isinstance(spec, str) and spec not in _PAULIS:
         return list(_ref(spec, _MEASUREMENT_SETS, "measurement set"))
-    out: list[Observable | Povm] = []
+    out: list[Povm] = []
     for item in [spec] if isinstance(spec, str) else _convert(spec, list, "measurement list"):
         if item in _PAULIS:
             out.append(pauli_observable(item[-1]))
@@ -185,17 +185,13 @@ def _measurements(spec) -> list[Observable | Povm]:
     return out
 
 
-def _povms(meas) -> list[Povm]:
-    return [m.povm() if isinstance(m, Observable) else m for m in meas]
-
-
 def _bound(meas, restarts: int, seed: int) -> BoundVector:
     """Closed form for two nondegenerate qubit observables, else the numeric ascent."""
     if len(meas) == 2 and all(
         isinstance(m, Observable) and m.dim == 2 and m.nondegenerate for m in meas
     ):
         return omega_two_dichotomic(*meas)
-    return omega_numeric(_povms(meas), restarts=restarts, seed=seed)
+    return omega_numeric(meas, restarts=restarts, seed=seed)
 
 
 def _parties(config: dict):
@@ -210,7 +206,7 @@ def _steered(config: dict, meas):
     if "assemblage" in config:
         asm = assemblage_from_config(_field(config, "assemblage"))
         return lambda state: asm
-    alice = _povms(_measurements(_field(meas, "alice")))
+    alice = _measurements(_field(meas, "alice"))
     return lambda state: steer(state, alice)
 
 
@@ -225,8 +221,7 @@ def _entanglement_universal(config: dict, restarts: int, seed: int):
 
 
 def _entanglement_fine_grained(config: dict, restarts: int, seed: int):
-    x, y = _parties(config)
-    meas_a, meas_b = _povms(x), _povms(y)
+    meas_a, meas_b = _parties(config)
     pairs = setting_pairs(len(meas_a), len(meas_b))
     spec = _field(config, "outcomes", default="matched")
     if spec == "matched":
@@ -246,14 +241,13 @@ def _steering_universal(config: dict, restarts: int, seed: int):
     bob = _measurements(_field(meas, "bob"))
     q = get_quantifier(_field(config, "quantifier", str, "shannon"))
     bound = _bound(bob, restarts, seed)
-    bob_povms = _povms(bob)
-    return lambda state: [steering_universal(assemblage(state), bob_povms, None, q, bound)]
+    return lambda state: [steering_universal(assemblage(state), bob, None, q, bound)]
 
 
 def _steering_fine_grained(config: dict, restarts: int, seed: int):
     meas = _field(config, "measurements")
     assemblage = _steered(config, meas)
-    bob = _povms(_measurements(_field(meas, "bob")))
+    bob = _measurements(_field(meas, "bob"))
     outcomes = _field(config, "outcomes", tuple)
     priors = _field(config, "priors", ProbVec, None) or uniform(len(bob))
     bounds = fine_grained_bound_map(bob, priors)
@@ -297,10 +291,10 @@ def _run_bound_only(config: dict, restarts: int, seed: int):
             if value is not None and value > limit:
                 raise ConfigParse(f"oracle {key} {value} exceeds the limit of {limit}")
         census = verify_majorization_bound(
-            bound, _povms(meas), samples=samples, seed=_field(opts, "seed", int, seed)
+            bound, meas, samples=samples, seed=_field(opts, "seed", int, seed)
         )
         if grid is not None:
-            grid_witness = brute_force_topk(_povms(meas), 1, grid)
+            grid_witness = brute_force_topk(meas, 1, grid)
     return bound, census, grid_witness
 
 

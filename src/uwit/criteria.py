@@ -34,7 +34,6 @@ from .bounds import (
     _pair_events,
     fine_grained_bound_map,
     fingerprint_povms,
-    observable_fingerprint,
     outcome_string_fingerprints,
     setting_pairs,
 )
@@ -107,9 +106,9 @@ def entanglement_universal(state: DensityState, x: Sequence[Observable],
     _require_safe(q)
     if len(x) != len(y):
         raise DimensionMismatch("both parties must use the same number of measurements")
-    if bound_x.measurement_fingerprint != observable_fingerprint(x):
+    if bound_x.measurement_fingerprint != fingerprint_povms(x):
         raise FingerprintMismatch("bound_x was not generated from the x measurements")
-    if bound_y.measurement_fingerprint != observable_fingerprint(y):
+    if bound_y.measurement_fingerprint != fingerprint_povms(y):
         raise FingerprintMismatch("bound_y was not generated from the y measurements")
     lhs = sum(q(product_observable_stats(state, xi, yi)) for xi, yi in zip(x, y))
     bound = max(q(bound_x.omega), q(bound_y.omega))
@@ -322,7 +321,7 @@ def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
     spatial = t[1:, 1:]
     correlators = [float(alice[i] @ spatial @ bob[i]) for i in range(m)]
 
-    bob_povms = [bloch_observable(tuple(r)).povm() for r in bob]
+    bob_povms = [bloch_observable(tuple(r)) for r in bob]
     bound_value = max(b.value for b in fine_grained_bound_map(bob_povms, priors).values())
 
     reports: list[DetectionReport] = []

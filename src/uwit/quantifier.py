@@ -82,9 +82,6 @@ class Quantifier:
     criterion_safe: bool
     parameter: float | None = None
 
-    def evaluate(self, p: ProbVec) -> float:
-        return self.fn(p)
-
     def __call__(self, p: ProbVec) -> float:
         return self.fn(p)
 

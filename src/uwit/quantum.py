@@ -1,13 +1,17 @@
 """Small dense complex-matrix quantum mechanics.
 
-States, observables and POVMs are plain numpy complex arrays wrapped in thin
-validated containers.  Everything here is sized for dimensions up to 64, where
-a dense symmetric eigensolver is exact for all practical purposes.
+States and POVMs are plain numpy complex arrays wrapped in thin containers
+that validate their input once, when they are built.  An observable is the
+POVM of its merged eigenprojectors, carrying its matrix and eigenvalues, so
+it is validated by that same construction and serves wherever a POVM does.
+Every matrix is limited to dimension ``MAX_DIM`` = 64, where a dense
+symmetric eigensolver is exact for all practical purposes; the named state
+and basis builders check that limit before they allocate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +35,15 @@ def _as_square_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
+    _check_dim(a.shape[0])
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise BadParameter("matrix entries must be finite")
     return a
+
+
+def _check_dim(d: int) -> None:
+    if d > MAX_DIM:
+        raise BadParameter(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -50,8 +60,6 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     columns, so ``m = V diag(w) V^dagger``.
     """
     a = _as_square_complex(m)
-    if a.shape[0] > MAX_DIM:
-        raise BadParameter(f"dimension {a.shape[0]} exceeds the supported maximum {MAX_DIM}")
     if np.max(np.abs(a - a.conj().T)) > HERM_TOL:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {np.max(np.abs(a - a.conj().T)):.3e}"
@@ -141,38 +149,38 @@ class Povm:
             ) from None
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """A Hermitian observable with merged eigenprojectors, eigenvalues descending."""
+@dataclass(frozen=True, eq=False, init=False)
+class Observable(Povm):
+    """A Hermitian observable: the POVM of its merged eigenprojectors.
+
+    ``effects`` are the eigenprojectors in order of descending eigenvalue;
+    outcome labels default to the eigenvalues.  The projectors are validated
+    as a POVM once, on construction.
+    """
 
     matrix: np.ndarray
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-    outcome_labels: tuple[str, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.outcome_labels:
-            object.__setattr__(
-                self, "outcome_labels", tuple(f"{ev:.12g}" for ev in self.eigenvalues)
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def __init__(self, matrix, eigenvalues, effects, outcome_labels=()):
+        eigenvalues = tuple(eigenvalues)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        labels = tuple(outcome_labels) or tuple(f"{ev:.12g}" for ev in eigenvalues)
+        super().__init__(effects, labels)
 
     @property
     def nondegenerate(self) -> bool:
         return len(self.eigenvalues) == self.dim
 
     def povm(self) -> Povm:
-        return Povm(self.projectors, self.outcome_labels)
+        return self
 
 
 def observable_from_matrix(m, outcome_labels: tuple[str, ...] | None = None) -> Observable:
     """Build an :class:`Observable` by spectral decomposition, merging degeneracies."""
     w, v = eig_hermitian(m)
     eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
+    effects: list[np.ndarray] = []
     i = 0
     while i < len(w):
         j = i
@@ -180,10 +188,10 @@ def observable_from_matrix(m, outcome_labels: tuple[str, ...] | None = None) -> 
             j += 1
         block = v[:, i : j + 1]
         eigenvalues.append(float(np.mean(w[i : j + 1])))
-        projectors.append(block @ block.conj().T)
+        effects.append(block @ block.conj().T)
         i = j + 1
     labels = outcome_labels if outcome_labels is not None else ()
-    return Observable(_as_square_complex(m), tuple(eigenvalues), tuple(projectors), labels)
+    return Observable(_as_square_complex(m), tuple(eigenvalues), tuple(effects), labels)
 
 
 _PAULI_LABELS = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
@@ -244,9 +252,9 @@ def product_observable_stats(state: DensityState, a: Observable, b: Observable) 
             f"observables of dimension ({a.dim}, {b.dim}) do not fit factors {state.dims}"
         )
     joint = [[max(float(np.trace(np.kron(proj_a, proj_b) @ state.matrix).real), 0.0)
-              for proj_b in b.projectors] for proj_a in a.projectors]
-    n = len(a.projectors)
-    if len(b.projectors) != n:
+              for proj_b in b.effects] for proj_a in a.effects]
+    n = a.n_outcomes
+    if b.n_outcomes != n:
         return ProbVec([p for row in joint for p in row])
     binned = [0.0] * n
     for i, row in enumerate(joint):
@@ -298,6 +306,7 @@ def bell_phi_plus() -> DensityState:
 def maximally_mixed(d: int, dims: tuple[int, int] | None = None) -> DensityState:
     if d < 1:
         raise BadParameter(f"dimension must be at least 1, got {d}")
+    _check_dim(d)
     return DensityState(np.eye(d, dtype=complex) / d, dims=dims)
 
 
@@ -313,6 +322,7 @@ def isotropic(d: int, f: float) -> DensityState:
     """Isotropic state with singlet fraction ``f`` on a d x d system."""
     if d < 2:
         raise BadParameter("local dimension must be at least 2")
+    _check_dim(d * d)
     if not 0.0 <= f <= 1.0:
         raise BadParameter(f"singlet fraction must lie in [0, 1], got {f}")
     p = projector(maximally_entangled_ket(d))
@@ -339,6 +349,7 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     components omega^(k l^2 + j l) / sqrt(d) against the computational basis,
     preceded by the computational basis itself.
     """
+    _check_dim(d)
     if not _is_prime(d):
         raise BadParameter(f"dimension {d} is not prime")
     if not 2 <= m <= d + 1:
@@ -346,7 +357,7 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     if d == 2:
         # Pauli z, x, y eigenbases, relabeled by basis-vector index.
         relabeled = tuple(
-            Observable(o.matrix, o.eigenvalues, o.projectors, ("0", "1"))
+            Observable(o.matrix, o.eigenvalues, o.effects, ("0", "1"))
             for o in (pauli_observable("z"), pauli_observable("x"), pauli_observable("y"))
         )
         return relabeled[:m]
@@ -405,11 +416,12 @@ def random_pure_state(d: int, rng: np.random.Generator,
 
 def random_mixed_state(d: int, rng: np.random.Generator,
                        dims: tuple[int, int] | None = None) -> DensityState:
-    """Random mixed state: partial trace of a random pure state on a doubled space."""
-    ket = random_ket(d * d, rng)
-    big = DensityState(projector(ket), dims=(d, d))
-    reduced = partial_trace(big, "A")
-    return DensityState(reduced.matrix, dims=dims)
+    """Random mixed state: partial trace of a random pure state on a doubled space.
+
+    With the ket reshaped to a d x d matrix M, the reduced state is M M^dagger.
+    """
+    m = random_ket(d * d, rng).reshape(d, d)
+    return DensityState(m @ m.conj().T, dims=dims)
 
 
 def random_product_state(da: int, db: int, rng: np.random.Generator) -> DensityState:

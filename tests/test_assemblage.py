@@ -7,6 +7,7 @@ from uwit import (
     DensityState,
     DimensionMismatch,
     NotADistribution,
+    NotHermitian,
     assemblage_from_config,
     assemblage_to_config,
     bell_phi_plus,
@@ -19,6 +20,7 @@ from uwit import (
     steer,
     werner,
 )
+from uwit.assemblage import matrix_to_json
 from uwit.quantum import projector, random_mixed_state, random_qubit_observable
 
 SX = pauli_observable("x")
@@ -27,6 +29,12 @@ SZ = pauli_observable("z")
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 HALF_I = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+# [[0.5, 0.3], [-0.3, 0]] and its partner sum to I/2, and both Hermitian parts
+# are positive, so only a Hermiticity check rejects them
+NON_HERMITIAN_ELEMENTS = [
+    {"setting": 0, "outcome": label, "operator": matrix_to_json(np.array(m))}
+    for label, m in (("0", [[0.5, 0.3], [-0.3, 0.0]]), ("1", [[0.0, -0.3], [0.3, 0.5]]))
+]
 
 
 class TestSteer:
@@ -192,3 +200,7 @@ class TestSerialization:
         for config in configs:
             with pytest.raises(BadParameter):
                 assemblage_from_config(config)
+        with pytest.raises(NotHermitian):
+            assemblage_from_config(
+                {"bob_dim": 2, "settings": [0], "elements": NON_HERMITIAN_ELEMENTS}
+            )

@@ -197,7 +197,7 @@ def witness_qutrit_config():
 
 def qutrit_product_entanglement_config():
     # projector 2 of each basis has eigenvalue 0 under the mub spectrum (2, 1, 0)
-    first, second = (o.projectors[2] for o in mub_bases(3, 2))
+    first, second = (o.effects[2] for o in mub_bases(3, 2))
     return {
         "scenario_kind": "entanglement",
         "flavor": "universal",
@@ -492,6 +492,15 @@ MALFORMED = {
     ),
     "zero-dimensional-state": (EX1, ("state",), "maximally_mixed:0"),
     "negative-dimensional-state": (EX1, ("state",), "maximally_mixed:-4"),
+    "isotropic-above-maximum-dimension": (EX1, ("state",), "isotropic:1000:0.5"),
+    "mub-above-maximum-dimension": ("mub_shorthand", ("measurements", "meas"), "mub:1009:2"),
+    "scan-family-above-maximum-dimension": ("isotropic_scan", ("scan", "family"), "isotropic:1000"),
+    "non-hermitian-assemblage-element": (
+        "assemblage", ("assemblage",), {"bob_dim": 2, "settings": [0], "elements": [
+            {"setting": 0, "outcome": label, "operator": matrix_to_json(np.array(m))}
+            for label, m in (("0", [[0.5, 0.3], [-0.3, 0.0]]), ("1", [[0.0, -0.3], [0.3, 0.5]]))
+        ]}
+    ),
     "outcome-strings-of-unequal-length": (
         "fine_grained_entanglement", ("outcomes",), {"a": ["+"], "b": ["+", "0"]}
     ),

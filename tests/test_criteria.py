@@ -120,6 +120,20 @@ class TestEntanglementUniversal:
         with pytest.raises(FingerprintMismatch):
             entanglement_universal(bell_phi_plus(), (SX, SY), (SX, SY), SHANNON, other, OMEGA_XY)
 
+    def test_prebuilt_observables_are_not_revalidated(self, monkeypatch):
+        validations = []
+        original = Povm.__post_init__
+
+        def counting(self):
+            validations.append(self)
+            original(self)
+
+        monkeypatch.setattr(Povm, "__post_init__", counting)
+        state = bell_phi_plus()
+        for _ in range(10):
+            entanglement_universal(state, (SX, SY), (SX, SY), SHANNON, OMEGA_XY, OMEGA_XY)
+        assert validations == []
+
     def test_verdict_margin_consistency(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
@@ -353,8 +367,8 @@ class TestSteeringTensorPath:
             a, b = unit(), unit()
             # pure product state with Bloch vectors a and b
             state = kron_state(
-                DensityState(bloch_observable(a).projectors[0]),
-                DensityState(bloch_observable(b).projectors[0]),
+                DensityState(bloch_observable(a).effects[0]),
+                DensityState(bloch_observable(b).effects[0]),
             )
             reports = steering_fine_grained_tensor(
                 correlation_tensor(state), [unit(), unit()], [unit(), unit()]

@@ -3,15 +3,18 @@ import pytest
 
 from uwit import (
     BadParameter,
+    Observable,
     Degenerate,
     DensityState,
     DimensionMismatch,
     NotHermitian,
     Povm,
     bell_phi_plus,
+    bloch_observable,
     born_stats,
     correlation_tensor,
     eig_hermitian,
+    fingerprint_povms,
     isotropic,
     kron_state,
     majorized_by,
@@ -27,6 +30,7 @@ from uwit import (
     werner,
 )
 from uwit.quantum import (
+    MAX_DIM,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -47,7 +51,7 @@ def joint_product_oracle(state, a, b):
     obs = observable_from_matrix(joint)
     return [
         (ev, float(np.trace(p @ state.matrix).real))
-        for ev, p in zip(obs.eigenvalues, obs.projectors)
+        for ev, p in zip(obs.eigenvalues, obs.effects)
     ]
 
 
@@ -82,7 +86,7 @@ class TestEig:
     def test_observable_merges_degenerate(self):
         obs = observable_from_matrix(np.eye(3))
         assert obs.eigenvalues == (1.0,)
-        assert np.allclose(obs.projectors[0], np.eye(3))
+        assert np.allclose(obs.effects[0], np.eye(3))
         assert not obs.nondegenerate
 
     def test_observable_reconstruction(self):
@@ -92,9 +96,9 @@ class TestEig:
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = (a + a.conj().T) / 2
             obs = observable_from_matrix(h)
-            rebuilt = sum(ev * p for ev, p in zip(obs.eigenvalues, obs.projectors))
+            rebuilt = sum(ev * p for ev, p in zip(obs.eigenvalues, obs.effects))
             assert np.max(np.abs(rebuilt - h)) < 1e-8
-            total = sum(obs.projectors)
+            total = sum(obs.effects)
             assert np.max(np.abs(total - np.eye(d))) < 1e-9
 
 
@@ -251,6 +255,8 @@ class TestFamilies:
             DensityState(np.zeros((0, 0)))
         with pytest.raises(DimensionMismatch):
             DensityState(np.eye(4) / 4, dims=(-2, -2))
+        with pytest.raises(BadParameter):
+            DensityState(np.eye(MAX_DIM + 1) / (MAX_DIM + 1))
 
     @pytest.mark.parametrize("d", [0, -4])
     def test_maximally_mixed_needs_positive_dimension(self, d):
@@ -260,6 +266,45 @@ class TestFamilies:
     def test_povm_validation(self):
         with pytest.raises(BadParameter):
             Povm((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), ("a", "b"))
+        with pytest.raises(BadParameter):
+            Povm((np.eye(MAX_DIM + 1),), ("1",))
+
+    @pytest.mark.parametrize("build", [
+        lambda: isotropic(9, 0.5),
+        lambda: isotropic(1000, 0.5),
+        lambda: maximally_mixed(MAX_DIM + 1),
+        lambda: mub_bases(67, 2),
+        lambda: mub_bases(1009, 2),
+    ])
+    def test_named_builders_check_dimension_first(self, build):
+        with pytest.raises(BadParameter, match="exceeds the supported maximum"):
+            build()
+
+
+OBSERVABLES = {
+    "pauli_x": lambda: pauli_observable("x"),
+    "bloch": lambda: bloch_observable((0.6, 0.0, 0.8)),
+    "mub:3:2": lambda: mub_bases(3, 2)[1],
+    "from_matrix": lambda: observable_from_matrix(np.diag([2.0, 1.0, 1.0, -3.0])),
+}
+
+
+class TestObservableIsPovm:
+    @pytest.mark.parametrize("name", OBSERVABLES)
+    def test_povm_is_the_observable(self, name):
+        obs = OBSERVABLES[name]()
+        assert isinstance(obs, Povm)
+        assert obs.povm() is obs
+
+    @pytest.mark.parametrize("name", OBSERVABLES)
+    def test_fingerprint_matches_explicit_povm(self, name):
+        obs = OBSERVABLES[name]()
+        explicit = Povm(obs.effects, obs.outcome_labels)
+        assert fingerprint_povms([obs]) == fingerprint_povms([explicit])
+
+    def test_projectors_not_summing_to_identity_rejected(self):
+        with pytest.raises(BadParameter):
+            Observable(PAULI_Z, (1.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
 
 
 class TestMub:
@@ -271,16 +316,16 @@ class TestMub:
 
     def test_qubit_pair_overlaps(self):
         bases = mub_bases(2, 2)
-        for p in bases[0].projectors:
-            for q in bases[1].projectors:
+        for p in bases[0].effects:
+            for q in bases[1].effects:
                 assert np.trace(p @ q).real == pytest.approx(0.5, abs=1e-9)
 
     def test_qutrit_overlaps(self):
         bases = mub_bases(3, 4)
         for i in range(4):
             for j in range(i + 1, 4):
-                for p in bases[i].projectors:
-                    for q in bases[j].projectors:
+                for p in bases[i].effects:
+                    for q in bases[j].effects:
                         assert np.trace(p @ q).real == pytest.approx(1 / 3, abs=1e-9)
 
     def test_rejects_composite_dimension(self):
@@ -318,6 +363,16 @@ class TestCorrelationTensor:
 
 
 class TestSamplersAndSchmidt:
+    @pytest.mark.parametrize("d, dims", [(2, None), (3, None), (4, None), (4, (2, 2))])
+    def test_random_mixed_state_is_partial_trace(self, d, dims):
+        """M M^dagger equals the reduced state of the pure state on the doubled space."""
+        for seed in range(5):
+            state = random_mixed_state(d, np.random.default_rng(seed), dims=dims)
+            ket = random_ket(d * d, np.random.default_rng(seed))
+            reduced = partial_trace(DensityState(projector(ket), dims=(d, d)), "A")
+            assert np.max(np.abs(state.matrix - reduced.matrix)) < 1e-12
+            assert state.dims == dims
+
     def test_random_states_valid(self):
         rng = np.random.default_rng(38)
         for _ in range(20):
@@ -336,7 +391,7 @@ class TestSamplersAndSchmidt:
             state = DensityState(projector(ket), dims=(2, 2))
             # the Schmidt-basis pair sees perfectly correlated outcomes
             stats = product_observable_stats(state, za, zb)
-            joint = np.kron(za.projectors[0], zb.projectors[1])
+            joint = np.kron(za.effects[0], zb.effects[1])
             cross = float(np.trace(joint @ state.matrix).real)
             assert cross == pytest.approx(0.0, abs=1e-9)
             assert stats.values.sum() == pytest.approx(1.0)
