@@ -89,6 +89,7 @@ from .quantifier import (
 )
 from .quantum import (
     DensityState,
+    DensityStack,
     Observable,
     Povm,
     bell_phi_plus,

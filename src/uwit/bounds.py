@@ -39,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     NoConvergence,
 )
-from .probvec import ProbVec
+from .probvec import ProbVec, tensor_rows
 from .quantum import DensityState, Observable, Povm, random_ket, von_neumann_entropy
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
@@ -155,10 +155,7 @@ def tensor_stats(kets: np.ndarray,
     # <psi|E|psi> = sum_ab conj(psi_a) psi_b E_ab: one matmul per measurement
     outer = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(n, d * d)
     probs = [np.clip((outer @ e.reshape(-1, d * d).T).real, 0.0, None) for e in effect_stacks]
-    t = probs[0]
-    for p in probs[1:]:
-        t = (t[:, :, None] * p[:, None, :]).reshape(n, t.shape[1] * p.shape[1])
-    return probs, t
+    return probs, tensor_rows(probs)
 
 
 def topk_sums(t: np.ndarray, k: int) -> np.ndarray:

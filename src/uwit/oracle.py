@@ -5,10 +5,14 @@ paths: random-state censuses quantify violations of majorization bounds,
 dense grids re-derive eigenvalue bounds and top-k maxima from below, and
 family scans locate detection thresholds by bisection.  The grid maximizers
 share the tensor-statistics kernel ``bounds.tensor_stats`` with the top-k
-ascent but search by another method; the census recomputes the statistics
-independently through ``born_stats``.  The pseudorandom
-generator is numpy's default PCG64, seeded explicitly, so every census and
-scan is reproducible across runs.
+ascent but search by another method.  The census recomputes the statistics
+independently: it draws its random density matrices as one
+:class:`~uwit.quantum.DensityStack` per chunk, validated as a batch, takes
+tr(E rho) for the whole stack with one ``born_stats`` call per measurement,
+and compares every row's tensor statistics with the bound vector by one
+sort and one cumulative sum.  The pseudorandom generator is numpy's
+default PCG64, seeded explicitly, so every census and scan is reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -19,17 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundVector, fine_grained_bound, tensor_stats, topk_sums
+from .bounds import _BATCH_ENTRIES, BoundVector, fine_grained_bound, tensor_stats, topk_sums
 from .criteria import DetectionReport
 from .errors import BadParameter, NonMonotoneScan
-from .parallel import parallel_map
-from .probvec import SUM_TOL, ProbVec, majorization_excess, tensor_all
-from .quantum import (
-    Povm,
-    born_stats,
-    random_mixed_state,
-    random_pure_state,
-)
+from .probvec import SUM_TOL, ProbVec, majorization_excess_rows, tensor_rows
+from .quantum import DensityStack, Povm, born_stats, random_mixed_state
 
 # Largest qutrit sample count; the initial samples are evaluated as one
 # batch, whose memory grows with this count times the tensor size.
@@ -63,33 +61,51 @@ def verify_majorization_bound(bound: BoundVector, meas: Sequence[Povm],
                               samples: int, seed: int) -> ViolationCensus:
     """Count random states whose tensor statistics escape the bound vector.
 
-    Half the draws are pure states, half mixed; a valid bound yields zero
-    violations.  ``worst_margin`` is the largest partial-sum excess seen
-    (negative values mean the bound held with room to spare).
+    The first ceil(samples / 2) draws are pure states and the rest mixed,
+    each kind from its own child of ``SeedSequence(seed)``; a valid bound
+    yields zero violations.  ``worst_margin`` is the largest partial-sum
+    excess seen (negative values mean the bound held with room to spare).
+    The draws are processed in chunks whose tensor statistics stay under
+    ``bounds._BATCH_ENTRIES`` entries; each generator is consumed in order,
+    so the chunking does not change the states.
     """
     if samples < 1:
         raise BadParameter("at least one sample is required")
     dim = meas[0].dim
-    children = np.random.SeedSequence(seed).spawn(samples)
+    pure_rng, mixed_rng = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2))
+    n_pure, n_mixed = (samples + 1) // 2, samples // 2
+    # states of each kind per chunk, so that a chunk's tensor rows fit the budget
+    rows = max(1, _BATCH_ENTRIES // (2 * int(np.prod([p.n_outcomes for p in meas]))))
+    violations, worst = 0, -np.inf
+    for start in range(0, n_pure, rows):
+        kets = _random_kets(pure_rng, min(rows, n_pure - start), dim)
+        # a mixed state M M^dagger is the reduced state of a random pure state on d x d
+        m = _random_kets(mixed_rng, min(rows, n_mixed - start), dim * dim).reshape(-1, dim, dim)
+        states = DensityStack(np.concatenate([
+            kets[:, :, None] * kets.conj()[:, None, :],
+            m @ m.conj().transpose(0, 2, 1),
+        ]))
+        stats = tensor_rows([born_stats(states, p) for p in meas])
+        excess = majorization_excess_rows(stats, bound.omega)
+        violations += int(np.count_nonzero(excess > SUM_TOL))
+        worst = max(worst, float(excess.max()))
+    return ViolationCensus(samples=samples, violations=violations, worst_margin=worst, seed=seed)
 
-    def excess(args) -> float:
-        index, child = args
-        rng = np.random.default_rng(child)
-        if index % 2 == 0:
-            state = random_pure_state(dim, rng)
-        else:
-            state = random_mixed_state(dim, rng)
-        stats = tensor_all([born_stats(state, p) for p in meas])
-        return majorization_excess(stats, bound.omega)
 
-    margins = parallel_map(excess, list(enumerate(children)))
-    violations = sum(1 for m in margins if m > SUM_TOL)
-    return ViolationCensus(
-        samples=samples,
-        violations=violations,
-        worst_margin=float(max(margins)),
-        seed=seed,
-    )
+def _complex_normals(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """Complex Gaussian rows from the stream ``rows`` ``random_ket`` calls would draw.
+
+    Each call draws its real parts, then its imaginary parts.
+    """
+    z = rng.normal(size=(rows, 2, dim))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _random_kets(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """Haar-random kets as the rows of a (rows, dim) array."""
+    kets = _complex_normals(rng, rows, dim)
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
 def _topk_over_bloch(effect_stacks: Sequence[np.ndarray], k: int, zs: np.ndarray,
@@ -131,19 +147,13 @@ def _qutrit_maximize(effect_stacks: Sequence[np.ndarray], k: int, grid_density: 
     def values(kets: np.ndarray) -> np.ndarray:
         return topk_sums(tensor_stats(kets, effect_stacks)[1], k)
 
-    def draw(n: int) -> np.ndarray:
-        # the stream one random_ket call per row would draw: real parts, then imaginary
-        z = rng.normal(size=(n, 2, dim))
-        return z[:, 0] + 1j * z[:, 1]
-
-    kets = draw(grid_density)
-    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    kets = _random_kets(rng, grid_density, dim)
     samples = values(kets)
     best = int(np.argmax(samples))
     best_val, best_psi = float(samples[best]), kets[best]
     scale = 0.3
     for _ in range(6):
-        for noise in draw(200):
+        for noise in _complex_normals(rng, 200, dim):
             cand = best_psi + scale * noise
             cand = cand / np.linalg.norm(cand)
             v = float(values(cand[None])[0])

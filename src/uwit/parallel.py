@@ -1,7 +1,8 @@
-"""Serial map over optimizer restarts and census samples.
+"""A plain serial map with no caller in the library.
 
-The per-layer tracer in ``perfbench`` charges the work of the mapped
-closures to ``parallel_map``, so it stays a named call.
+The bound ascents and the census work on batches and no longer map
+closures.  The module stays only because the per-layer tracer in
+``perfbench`` binds ``parallel_map``; it can go when that binding does.
 """
 
 from __future__ import annotations

@@ -36,16 +36,7 @@ class ProbVec:
             raise NotADistribution(f"probabilities must be numbers, got {raw!r}") from None
         if values.ndim != 1 or values.size == 0:
             raise NotADistribution("expected a nonempty 1-d sequence of probabilities")
-        if not np.all(np.isfinite(values)):
-            raise NotADistribution("probabilities must be finite")
-        if np.any(values < -CLAMP_SLACK):
-            raise NotADistribution(
-                f"negative entry {values.min():.3e} below the {-CLAMP_SLACK:.0e} slack"
-            )
-        if abs(values.sum() - 1.0) > SUM_TOL:
-            raise NotADistribution(f"entries sum to {values.sum():.12f}, not 1")
-        values = np.clip(values, 0.0, None)
-        values = values / values.sum()
+        values = normalized_rows(values)
         values.setflags(write=False)
         self._values = values
 
@@ -69,6 +60,27 @@ class ProbVec:
     def __repr__(self) -> str:
         body = ", ".join(f"{x:.6g}" for x in self._values)
         return f"ProbVec({body})"
+
+
+def normalized_rows(values: np.ndarray) -> np.ndarray:
+    """Check every distribution along the trailing axis, then clamp and renormalize.
+
+    The checks of :class:`ProbVec`, applied to each row of a stack at once:
+    entries finite and at least ``-CLAMP_SLACK``, sums within ``SUM_TOL`` of
+    one.  Returns a new array.
+    """
+    if not np.all(np.isfinite(values)):
+        raise NotADistribution("probabilities must be finite")
+    if np.any(values < -CLAMP_SLACK):
+        raise NotADistribution(
+            f"negative entry {values.min():.3e} below the {-CLAMP_SLACK:.0e} slack"
+        )
+    sums = values.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > SUM_TOL
+    if np.any(bad):
+        raise NotADistribution(f"entries sum to {sums[bad].flat[0]:.12f}, not 1")
+    values = np.clip(values, 0.0, None)
+    return values / values.sum(axis=-1, keepdims=True)
 
 
 def make_probvec(raw: Sequence[float] | np.ndarray) -> ProbVec:
@@ -104,10 +116,18 @@ def tensor(p: ProbVec, q: ProbVec) -> ProbVec:
 
 def tensor_all(ps: Sequence[ProbVec]) -> ProbVec:
     """Tensor product of several distributions, left to right."""
-    out = ps[0]
-    for q in ps[1:]:
-        out = tensor(out, q)
-    return out
+    return ProbVec(tensor_rows([p.values[None] for p in ps])[0])
+
+
+def tensor_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise tensor product of (N, n_i) stacks: an (N, prod n_i) stack.
+
+    Entries follow row-major outcome order, as in :func:`tensor`.
+    """
+    t = rows[0]
+    for p in rows[1:]:
+        t = (t[:, :, None] * p[:, None, :]).reshape(len(t), t.shape[1] * p.shape[1])
+    return t
 
 
 def majorized_by(p: ProbVec, q: ProbVec, tol: float = SUM_TOL) -> bool:
@@ -126,12 +146,23 @@ def majorization_excess(p: ProbVec, q: ProbVec) -> float:
     Positive values witness a failure of ``p <= q``; values below zero leave
     room to spare.  Useful for reporting how badly a bound is violated.
     """
-    d = max(p.dim, q.dim)
-    ps = np.zeros(d)
+    return float(majorization_excess_rows(p.values[None], q)[0])
+
+
+def majorization_excess_rows(rows: np.ndarray, q: ProbVec) -> np.ndarray:
+    """:func:`majorization_excess` of every row of an (N, n) stack against q.
+
+    One sort and one cumulative sum over the stack; rows and q are
+    zero-padded to a common length.
+    """
+    n, d = rows.shape[1], max(rows.shape[1], q.dim)
+    partial = np.zeros((len(rows), d))
+    partial[:, :n] = np.sort(rows, axis=1)[:, ::-1]
+    np.cumsum(partial, axis=1, out=partial)
     qs = np.zeros(d)
-    ps[: p.dim] = np.sort(p.values)[::-1]
     qs[: q.dim] = np.sort(q.values)[::-1]
-    return float(np.max(np.cumsum(ps) - np.cumsum(qs)))
+    partial -= np.cumsum(qs)
+    return partial.max(axis=1)
 
 
 def random_relabel(p: ProbVec, weights: Mapping[tuple[int, ...], float]) -> ProbVec:

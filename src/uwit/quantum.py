@@ -1,7 +1,10 @@
 """Small dense complex-matrix quantum mechanics.
 
 States and POVMs are plain numpy complex arrays wrapped in thin containers
-that validate their input once, when they are built.  An observable is the
+that validate their input once, when they are built.  A
+:class:`DensityStack` holds many states that are validated together, by the
+same checks as a single :class:`DensityState`, and ``born_stats`` measures
+either one.  An observable is the
 POVM of its merged eigenprojectors, carrying its matrix and eigenvalues, so
 it is validated by that same construction and serves wherever a POVM does.
 Every matrix is limited to dimension ``MAX_DIM`` = 64, where a dense
@@ -16,18 +19,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, NotHermitian
-from .probvec import ProbVec
+from .probvec import ProbVec, normalized_rows
 
 HERM_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_MERGE_TOL = 1e-8    # eigenvalues closer than this share one projector
+# Merging moves each eigenvalue by at most EIG_MERGE_TOL, and symmetrizing a
+# matrix within HERM_TOL of Hermitian moves it by less, so an observable
+# built by observable_from_matrix is within twice that of its decomposition.
+SPECTRAL_TOL = 2 * EIG_MERGE_TOL
 MAX_DIM = 64
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+PAULI_I = _frozen(np.eye(2, dtype=complex))
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 
@@ -36,7 +51,7 @@ def _as_square_complex(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     _check_dim(a.shape[0])
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise BadParameter("matrix entries must be finite")
     return a
 
@@ -44,6 +59,26 @@ def _as_square_complex(m) -> np.ndarray:
 def _check_dim(d: int) -> None:
     if d > MAX_DIM:
         raise BadParameter(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
+
+
+def _check_density(a: np.ndarray) -> None:
+    """Raise unless every matrix over the trailing two axes of ``a`` is a density matrix.
+
+    Finite, Hermitian within ``HERM_TOL``, trace within ``TRACE_TOL`` of one,
+    and no eigenvalue below ``-PSD_TOL`` (one batched ``eigvalsh``).
+    """
+    if not np.isfinite(a).all():
+        raise BadParameter("matrix entries must be finite")
+    adjoint = a.conj().swapaxes(-1, -2)
+    if np.abs(a - adjoint).max() > HERM_TOL:
+        raise NotHermitian("density matrix is not Hermitian within tolerance")
+    trace = a.trace(axis1=-2, axis2=-1)
+    bad = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
+    if bad.any():
+        raise BadParameter(f"density matrix trace {trace[bad].flat[0]:.12f} is not 1")
+    wmin = np.linalg.eigvalsh((a + adjoint) / 2.0)[..., 0].min()
+    if wmin < -PSD_TOL:
+        raise BadParameter(f"density matrix has negative eigenvalue {wmin:.3e}")
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -77,26 +112,41 @@ class DensityState:
 
     def __post_init__(self):
         a = _as_square_complex(self.matrix)
-        if np.max(np.abs(a - a.conj().T)) > HERM_TOL:
-            raise NotHermitian("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(a).real - 1.0) > TRACE_TOL or abs(np.trace(a).imag) > TRACE_TOL:
-            raise BadParameter(f"density matrix trace {np.trace(a):.12f} is not 1")
-        wmin = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
-        if wmin < -PSD_TOL:
-            raise BadParameter(f"density matrix has negative eigenvalue {wmin:.3e}")
+        _check_density(a)
         if self.dims is not None:
             da, db = self.dims
             if da < 1 or db < 1 or da * db != a.shape[0]:
                 raise DimensionMismatch(
                     f"factorization {self.dims} incompatible with dimension {a.shape[0]}"
                 )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _frozen(a))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class DensityStack:
+    """An (N, d, d) stack of density operators, validated as one batch.
+
+    Every matrix passes the checks of :class:`DensityState`; the stack is
+    stored as a read-only copy.
+    """
+
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.matrices, dtype=complex)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
+            raise DimensionMismatch(f"expected a nonempty (N, d, d) stack, got shape {a.shape}")
+        _check_dim(a.shape[1])
+        _check_density(a)
+        object.__setattr__(self, "matrices", _frozen(a))
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,23 +163,17 @@ class Povm:
         if len(self.outcome_labels) != len(effs):
             raise DimensionMismatch("one outcome label per effect is required")
         d = effs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in effs:
-            if e.shape[0] != d:
-                raise DimensionMismatch("all effects must share one dimension")
-            if np.max(np.abs(e - e.conj().T)) > HERM_TOL:
-                raise NotHermitian("POVM effect is not Hermitian within tolerance")
-            if float(np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0]) < -PSD_TOL:
-                raise BadParameter("POVM effect has a negative eigenvalue beyond tolerance")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > 1e-8:
+        if any(e.shape[0] != d for e in effs):
+            raise DimensionMismatch("all effects must share one dimension")
+        stack = np.array(effs)
+        adjoint = stack.conj().swapaxes(1, 2)
+        if np.abs(stack - adjoint).max() > HERM_TOL:
+            raise NotHermitian("POVM effect is not Hermitian within tolerance")
+        if np.linalg.eigvalsh((stack + adjoint) / 2.0)[:, 0].min() < -PSD_TOL:
+            raise BadParameter("POVM effect has a negative eigenvalue beyond tolerance")
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > 1e-8:
             raise BadParameter("POVM effects do not sum to the identity")
-        frozen = []
-        for e in effs:
-            e = e.copy()
-            e.setflags(write=False)
-            frozen.append(e)
-        object.__setattr__(self, "effects", tuple(frozen))
+        object.__setattr__(self, "effects", tuple(_frozen(e) for e in effs))
         object.__setattr__(self, "outcome_labels", tuple(str(x) for x in self.outcome_labels))
 
     @property
@@ -155,7 +199,10 @@ class Observable(Povm):
 
     ``effects`` are the eigenprojectors in order of descending eigenvalue;
     outcome labels default to the eigenvalues.  The projectors are validated
-    as a POVM once, on construction.
+    as a POVM once, on construction, and the matrix must equal the sum of
+    eigenvalue times projector within ``SPECTRAL_TOL`` (relative to the
+    largest eigenvalue magnitude, when that exceeds 1).  The matrix is kept
+    as a read-only copy.
     """
 
     matrix: np.ndarray
@@ -163,10 +210,22 @@ class Observable(Povm):
 
     def __init__(self, matrix, eigenvalues, effects, outcome_labels=()):
         eigenvalues = tuple(eigenvalues)
-        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         labels = tuple(outcome_labels) or tuple(f"{ev:.12g}" for ev in eigenvalues)
         super().__init__(effects, labels)
+        m = _as_square_complex(matrix)
+        if m.shape[0] != self.dim or len(eigenvalues) != self.n_outcomes:
+            raise DimensionMismatch(
+                f"a {m.shape[0]}-dimensional matrix with {len(eigenvalues)} eigenvalues "
+                f"does not fit {self.n_outcomes} effects of dimension {self.dim}"
+            )
+        spectral = sum(ev * e for ev, e in zip(eigenvalues, self.effects))
+        gap = float(np.max(np.abs(m - spectral)))
+        if gap > SPECTRAL_TOL * max(1.0, max(abs(ev) for ev in eigenvalues)):
+            raise BadParameter(
+                f"observable matrix differs from its spectral decomposition by {gap:.3e}"
+            )
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def nondegenerate(self) -> bool:
@@ -191,7 +250,7 @@ def observable_from_matrix(m, outcome_labels: tuple[str, ...] | None = None) -> 
         effects.append(block @ block.conj().T)
         i = j + 1
     labels = outcome_labels if outcome_labels is not None else ()
-    return Observable(_as_square_complex(m), tuple(eigenvalues), tuple(effects), labels)
+    return Observable(m, tuple(eigenvalues), tuple(effects), labels)
 
 
 _PAULI_LABELS = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
@@ -207,6 +266,10 @@ def pauli_observable(axis: str) -> Observable:
         labels = _PAULI_LABELS[axis]
     except KeyError:
         raise BadParameter(f"unknown Pauli axis {axis!r}") from None
+    return _pauli(axis, labels)
+
+
+def _pauli(axis: str, labels: tuple[str, str]) -> Observable:
     m = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
     return Observable(m, (1.0, -1.0), ((PAULI_I + m) / 2.0, (PAULI_I - m) / 2.0), labels)
 
@@ -222,15 +285,22 @@ def bloch_observable(direction) -> Observable:
     return Observable(m, (1.0, -1.0), (pp, pm), ("+", "-"))
 
 
-def born_stats(state: DensityState, meas: Povm) -> ProbVec:
-    """Measurement statistics of ``state`` under ``meas`` via the Born rule."""
+def born_stats(state: DensityState | DensityStack, meas: Povm) -> ProbVec | np.ndarray:
+    """Measurement statistics under ``meas`` via the Born rule p_k = tr(E_k rho).
+
+    A :class:`DensityState` gives a :class:`ProbVec`; a :class:`DensityStack`
+    of N states gives an (N, n_outcomes) array whose rows pass the same
+    distribution checks.
+    """
     if state.dim != meas.dim:
         raise DimensionMismatch(
             f"state dimension {state.dim} does not match POVM dimension {meas.dim}"
         )
-    probs = np.array([float(np.trace(e @ state.matrix).real) for e in meas.effects])
-    probs = np.clip(probs, 0.0, None)
-    return ProbVec(probs)
+    single = isinstance(state, DensityState)
+    rho = state.matrix if single else state.matrices
+    # tr(E rho) = sum_ij E_ij rho_ji, for every effect and every state at once
+    probs = np.clip(np.einsum("kij,...ji->...k", np.array(meas.effects), rho).real, 0.0, None)
+    return ProbVec(probs) if single else normalized_rows(probs)
 
 
 def product_observable_stats(state: DensityState, a: Observable, b: Observable) -> ProbVec:
@@ -355,12 +425,8 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     if not 2 <= m <= d + 1:
         raise BadParameter(f"number of bases must lie in [2, {d + 1}], got {m}")
     if d == 2:
-        # Pauli z, x, y eigenbases, relabeled by basis-vector index.
-        relabeled = tuple(
-            Observable(o.matrix, o.eigenvalues, o.effects, ("0", "1"))
-            for o in (pauli_observable("z"), pauli_observable("x"), pauli_observable("y"))
-        )
-        return relabeled[:m]
+        # Pauli z, x, y eigenbases, labeled by basis-vector index.
+        return tuple(_pauli(axis, ("0", "1")) for axis in "zxy"[:m])
     omega = np.exp(2j * np.pi / d)
     eigenvalues = tuple(float(x) for x in range(d - 1, -1, -1))
     bases: list[Observable] = []

@@ -9,6 +9,7 @@ import pytest
 from uwit import (
     BadParameter,
     Degenerate,
+    DensityStack,
     DensityState,
     DimensionMismatch,
     NoConvergence,
@@ -220,6 +221,26 @@ class TestTensorStatsKernel:
             for k in range(1, ref.size + 1):
                 top = topk_sums(t[row:row + 1], k)[0]
                 assert top == pytest.approx(cumulative[k - 1], abs=1e-12)
+
+
+class TestBatchedBornStats:
+    """The census's stacked Born rule against one ``born_stats`` call per state."""
+
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    def test_rows_match_per_state_statistics(self, name):
+        meas = KERNEL_SETS[name]
+        rng = np.random.default_rng(47)
+        d = meas[0].dim
+        states = [DensityState(projector(random_ket(d, rng))) if i % 2 == 0
+                  else random_mixed_state(d, rng) for i in range(21)]
+        stack = DensityStack(np.array([s.matrix for s in states]))
+        for p in meas:
+            rows = born_stats(stack, p)
+            assert rows.shape == (21, p.n_outcomes)
+            for row, state in zip(rows, states):
+                assert np.max(np.abs(row - born_stats(state, p).values)) <= 1e-12
+                traces = [np.trace(e @ state.matrix).real for e in p.effects]
+                assert np.max(np.abs(row - traces)) <= 1e-12
 
 
 class TestMaassenUffink:

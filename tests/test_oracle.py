@@ -21,10 +21,12 @@ from uwit import (
     verify_majorization_bound,
     werner,
 )
+from uwit import oracle, quantum
 from uwit.bounds import BoundVector
 from uwit.criteria import DetectionReport
 from uwit.oracle import MAX_QUTRIT_GRID, random_lhs_fixture
-from uwit.probvec import ProbVec
+from uwit.probvec import ProbVec, majorization_excess, tensor_all
+from uwit.quantum import DensityState, born_stats, projector, random_ket
 
 SX = pauli_observable("x")
 SY = pauli_observable("y")
@@ -61,6 +63,75 @@ class TestCensus:
         a = verify_majorization_bound(bound, [SX.povm(), SY.povm()], 300, seed=10)
         b = verify_majorization_bound(bound, [SX.povm(), SY.povm()], 300, seed=10)
         assert a == b
+
+    def test_matches_per_state_reference(self):
+        """Pure kets, then mixed M M^dagger, each from its own child stream, one state at a time."""
+        bound = tightened(omega_two_dichotomic(SX, SY))
+        meas = [SX.povm(), SY.povm()]
+        pure_rng, mixed_rng = (np.random.default_rng(s)
+                               for s in np.random.SeedSequence(11).spawn(2))
+        states = [DensityState(projector(random_ket(2, pure_rng))) for _ in range(13)]
+        for _ in range(12):
+            m = random_ket(4, mixed_rng).reshape(2, 2)
+            states.append(DensityState(m @ m.conj().T))
+        margins = [majorization_excess(tensor_all([born_stats(s, p) for p in meas]), bound.omega)
+                   for s in states]
+        census = verify_majorization_bound(bound, meas, 25, seed=11)
+        assert census.violations == sum(1 for m in margins if m > 1e-9) > 0
+        assert census.worst_margin == pytest.approx(max(margins), abs=1e-12)
+
+    @pytest.mark.parametrize("meas, samples, entries", [
+        ([SX.povm(), SY.povm()], 101, 40),
+        ([o.povm() for o in mub_bases(3, 3)], 41, 162),
+    ], ids=["xy", "mub:3:3"])
+    def test_chunking_does_not_change_the_census(self, meas, samples, entries, monkeypatch):
+        bound = tightened(omega_numeric(meas, restarts=4, seed=0))
+        whole = verify_majorization_bound(bound, meas, samples, seed=12)
+        calls = count_born_stats(monkeypatch)
+        monkeypatch.setattr(oracle, "_BATCH_ENTRIES", entries)
+        chunked = verify_majorization_bound(bound, meas, samples, seed=12)
+        assert len(calls) > 5 * len(meas)
+        assert 0 < whole.violations < samples
+        assert chunked == whole
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_one_or_two_samples(self, samples):
+        census = verify_majorization_bound(
+            omega_two_dichotomic(SX, SY), [SX.povm(), SY.povm()], samples, seed=13)
+        assert census.samples == samples and census.violations == 0
+        assert np.isfinite(census.worst_margin)
+
+    def test_born_stats_once_per_measurement_per_chunk(self, monkeypatch):
+        """The census measures through ``oracle.born_stats``, the binding ``quantum`` exports."""
+        assert oracle.born_stats is quantum.born_stats
+        bound = omega_two_dichotomic(SX, SY)
+        calls = count_born_stats(monkeypatch)
+        verify_majorization_bound(bound, [SX.povm(), SY.povm()], 64, seed=14)
+        assert len(calls) == 2
+        monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 64)  # 8 pure + 8 mixed rows per chunk
+        verify_majorization_bound(bound, [SX.povm(), SY.povm()], 64, seed=14)
+        assert len(calls) == 2 + 2 * 4
+
+
+def tightened(bound):
+    """The bound mixed towards uniform: too tight, so a census tally depends on every state."""
+    omega = bound.omega.values
+    return BoundVector(omega=ProbVec(0.9 * omega + 0.1 / omega.size), method="tightened",
+                       measurement_fingerprint="", certified_slack=0.0)
+
+
+def count_born_stats(monkeypatch):
+    """Route ``born_stats`` in ``quantum`` and ``oracle`` through one counter."""
+    calls = []
+    original = quantum.born_stats
+
+    def counting(state, meas):
+        calls.append(meas)
+        return original(state, meas)
+
+    monkeypatch.setattr(quantum, "born_stats", counting)
+    monkeypatch.setattr(oracle, "born_stats", counting)
+    return calls
 
 
 class TestBruteForce:

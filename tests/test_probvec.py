@@ -12,7 +12,7 @@ from uwit import (
     tensor,
     uniform,
 )
-from uwit.probvec import majorization_excess
+from uwit.probvec import majorization_excess, majorization_excess_rows, normalized_rows
 
 
 def random_dist(rng, d):
@@ -108,6 +108,24 @@ class TestMajorization:
     def test_excess_sign(self):
         assert majorization_excess(make_probvec((1.0, 0.0)), make_probvec((0.5, 0.5))) > 0
         assert majorization_excess(make_probvec((0.5, 0.5)), make_probvec((1.0, 0.0))) <= 0
+
+    @pytest.mark.parametrize("n, m", [(4, 4), (3, 5), (6, 2)])
+    def test_row_wise_excess_matches_each_row(self, n, m):
+        rng = np.random.default_rng(14)
+        ps = [point_mass(n, 1)] + [random_dist(rng, n) for _ in range(49)]
+        q = random_dist(rng, m)
+        got = majorization_excess_rows(np.array([p.values for p in ps]), q)
+        assert got.shape == (50,)
+        for p, value in zip(ps, got):
+            assert value == majorization_excess(p, q)
+
+    def test_rows_get_the_probvec_checks(self):
+        rows = normalized_rows(np.array([[1.0, -1e-13], [0.25, 0.75]]))
+        assert np.array_equal(rows, [[1.0, 0.0], [0.25, 0.75]])
+        for bad in ([[0.5, 0.5], [0.3, 0.3]], [[0.5, 0.5], [1.001, -1e-3]],
+                    [[0.5, 0.5], [np.nan, 1.0]]):
+            with pytest.raises(NotADistribution):
+                normalized_rows(np.array(bad))
 
 
 class TestRandomRelabel:

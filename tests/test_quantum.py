@@ -5,6 +5,7 @@ from uwit import (
     BadParameter,
     Observable,
     Degenerate,
+    DensityStack,
     DensityState,
     DimensionMismatch,
     NotHermitian,
@@ -31,6 +32,7 @@ from uwit import (
 )
 from uwit.quantum import (
     MAX_DIM,
+    PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -121,6 +123,42 @@ class TestBornRule:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             born_stats(maximally_mixed(3), SZ.povm())
+        with pytest.raises(DimensionMismatch):
+            born_stats(DensityStack(np.eye(3)[None] / 3), SZ.povm())
+
+
+NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+WRONG_TRACE = np.diag([0.6, 0.6]).astype(complex)
+NEGATIVE = np.diag([1.5, -0.5]).astype(complex)
+
+
+class TestDensityStack:
+    @pytest.mark.parametrize("bad", [NON_HERMITIAN, WRONG_TRACE, NEGATIVE],
+                             ids=["non-hermitian", "trace", "negative-eigenvalue"])
+    def test_rejects_what_density_state_rejects(self, bad):
+        with pytest.raises((NotHermitian, BadParameter)) as single:
+            DensityState(bad)
+        good = maximally_mixed(2).matrix
+        with pytest.raises(single.type):
+            DensityStack(np.array([good, bad, good]))
+
+    def test_shape_and_entries(self):
+        with pytest.raises(DimensionMismatch):
+            DensityStack(np.eye(2) / 2)
+        with pytest.raises(DimensionMismatch):
+            DensityStack(np.zeros((0, 2, 2)))
+        with pytest.raises(BadParameter):
+            DensityStack(np.array([np.eye(2) / 2, [[np.nan, 0], [0, 0.5]]]))
+        with pytest.raises(BadParameter):
+            DensityStack(np.eye(MAX_DIM + 1)[None] / (MAX_DIM + 1))
+
+    def test_read_only_copy(self):
+        raw = np.array([np.eye(2) / 2], dtype=complex)
+        stack = DensityStack(raw)
+        raw[0, 0, 0] = 5.0
+        assert stack.matrices[0, 0, 0] == 0.5 and stack.dim == 2
+        with pytest.raises(ValueError):
+            stack.matrices[0, 0, 0] = 5.0
 
 
 class TestProductStats:
@@ -307,6 +345,42 @@ class TestObservableIsPovm:
             Observable(PAULI_Z, (1.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
 
 
+class TestObservableMatrix:
+    def test_matrix_is_a_read_only_copy(self):
+        obs = pauli_observable("x")
+        assert obs.matrix is not PAULI_X
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 5.0
+        for pauli in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
+            with pytest.raises(ValueError):
+                pauli[0, 0] = 5.0
+        m = np.diag([2.0, -1.0]).astype(complex)
+        built = observable_from_matrix(m)
+        m[0, 0] = 7.0
+        assert built.matrix[0, 0] == 2.0
+        assert np.array_equal(pauli_observable("x").matrix, [[0, 1], [1, 0]])
+
+    def test_matrix_must_match_its_spectral_decomposition(self):
+        with pytest.raises(BadParameter):
+            Observable(PAULI_Z, (1, -1), SX.effects)
+        with pytest.raises(BadParameter):
+            Observable(PAULI_Z, (1, -1.5), SZ.effects)
+        with pytest.raises(DimensionMismatch):
+            Observable(PAULI_Z, (1, 0, -1), SZ.effects)
+        with pytest.raises(DimensionMismatch):
+            Observable(np.eye(3), (1, -1), SZ.effects)
+
+    def test_merged_and_large_scale_decompositions_accepted(self):
+        obs = observable_from_matrix(np.diag([1.0, 1.0 + 1e-9, -1.0]))
+        assert len(obs.eigenvalues) == 2
+        obs = observable_from_matrix(np.diag([5e6, 5e6 + 9e-9, -1.0]))
+        assert len(obs.eigenvalues) == 2
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            observable_from_matrix(1e8 * (a + a.conj().T))
+
+
 class TestMub:
     def test_qubit_triple_is_pauli(self):
         bases = mub_bases(2, 3)
@@ -327,6 +401,23 @@ class TestMub:
                 for p in bases[i].effects:
                     for q in bases[j].effects:
                         assert np.trace(p @ q).real == pytest.approx(1 / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_qubit_bases_validated_once_each(self, m, monkeypatch):
+        reference = [o.effects for o in (SZ, SX, SY)[:m]]
+        validations = []
+        original = Povm.__post_init__
+
+        def counting(self):
+            validations.append(self)
+            original(self)
+
+        monkeypatch.setattr(Povm, "__post_init__", counting)
+        bases = mub_bases(2, m)
+        assert len(validations) == m
+        for obs, effects in zip(bases, reference):
+            assert obs.outcome_labels == ("0", "1")
+            assert all(np.array_equal(a, b) for a, b in zip(obs.effects, effects))
 
     def test_rejects_composite_dimension(self):
         with pytest.raises(BadParameter):
