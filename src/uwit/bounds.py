@@ -9,8 +9,10 @@ Two bound families are computed here:
   over pure states with multi-restart projected gradient ascent.  All
   restarts advance together as one (R, d) stack of kets: each iteration
   builds every row's gradient operator at once, takes the eigenvector jumps
-  with one batched ``eigh`` and runs every row's line search as one batch,
-  while each row keeps its own stopping rules.  One batched kernel
+  with one batched ``eigh`` and runs every row's line search as one batch.
+  Each row stops once an iteration gains less than ``STEP_TOL``, or once
+  it cannot reach the best value of any restart so far even if it kept its
+  last gain for every remaining iteration.  One batched kernel
   (``tensor_stats`` and ``topk_sums``) evaluates those statistics for the
   ascent and for the brute-force maximizers in ``oracle``.
 
@@ -198,11 +200,15 @@ _BATCH_ENTRIES = 2**22
 
 
 def _ascend_topk(kets: np.ndarray, effect_stacks: Sequence[np.ndarray], k: int,
-                 maxiter: int) -> np.ndarray:
+                 maxiter: int, best: float = -np.inf) -> np.ndarray:
     """Top-k ascent from every row of an (R, d) stack of start kets at once.
 
-    Rows do not interact: each follows its own ascent and stops by its own
-    rules, and the (R,) array of final top-k sums is returned.
+    Each row follows its own ascent and stops once an iteration gains less
+    than ``STEP_TOL``.  A row is also dropped once it cannot reach the best
+    value seen so far: after iteration t, when f + (maxiter - t - 1) * gain
+    falls below ``best``, the largest value of any row, stopped ones
+    included, and of the ``best`` passed in.  The best row gains at least
+    zero and is never dropped.  Returns the (R,) array of final top-k sums.
     """
     def values(stack: np.ndarray) -> np.ndarray:
         return topk_sums(tensor_stats(stack, effect_stacks)[1], k)
@@ -210,7 +216,7 @@ def _ascend_topk(kets: np.ndarray, effect_stacks: Sequence[np.ndarray], k: int,
     psi = kets.copy()
     f = values(psi)
     active = np.arange(len(psi))
-    for _ in range(maxiter):
+    for t in range(maxiter):
         if active.size == 0:
             break
         cur, f_cur = psi[active], f[active]
@@ -242,21 +248,34 @@ def _ascend_topk(kets: np.ndarray, effect_stacks: Sequence[np.ndarray], k: int,
         psi[active[rows]] = cands[found, step]
         f[active[rows]] = f_step
         going[rows] = f_step - f_cur[rows] >= STEP_TOL
+        # drop rows that stay below the best value even if they kept this
+        # iteration's gain for every remaining iteration
+        best = max(best, float(f.max()))
+        f_new = f[active]
+        going &= f_new + (maxiter - t - 1) * (f_new - f_cur) >= best
         active = active[going]
     return f
 
 
 def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
               seed_seq: np.random.SeedSequence, maxiter: int = 400) -> float:
-    """Maximize the top-k sum of the tensor statistics over pure states."""
+    """Maximize the top-k sum of the tensor statistics over pure states.
+
+    The restarts run in batches of at most ``_BATCH_ENTRIES`` line-search
+    entries, and each batch starts from the best value of the batches
+    before it, so its rows are dropped once they cannot reach that value.
+    """
     effect_stacks = [np.array(p.effects) for p in povms]
     dim = povms[0].dim
     kets = np.array([random_ket(dim, np.random.default_rng(child))
                      for child in seed_seq.spawn(restarts)])
     entries = len(_STEPS) * int(np.prod([p.n_outcomes for p in povms]))
     rows = max(1, _BATCH_ENTRIES // entries)
-    return max(float(_ascend_topk(kets[s:s + rows], effect_stacks, k, maxiter).max())
-               for s in range(0, restarts, rows))
+    best = -np.inf
+    for s in range(0, restarts, rows):
+        best = max(best, float(_ascend_topk(kets[s:s + rows], effect_stacks, k, maxiter,
+                                            best).max()))
+    return best
 
 
 def _concave_majorant_increments(cumulative: np.ndarray) -> np.ndarray:

@@ -65,7 +65,8 @@ def verify_majorization_bound(bound: BoundVector, meas: Sequence[Povm],
     each kind from its own child of ``SeedSequence(seed)``; a valid bound
     yields zero violations.  ``worst_margin`` is the largest partial-sum
     excess seen (negative values mean the bound held with room to spare).
-    The draws are processed in chunks whose tensor statistics stay under
+    The draws are processed in chunks whose tensor statistics, density
+    matrices and mixed-state factors together stay under
     ``bounds._BATCH_ENTRIES`` entries; each generator is consumed in order,
     so the chunking does not change the states.
     """
@@ -75,8 +76,11 @@ def verify_majorization_bound(bound: BoundVector, meas: Sequence[Povm],
     pure_rng, mixed_rng = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(seed).spawn(2))
     n_pure, n_mixed = (samples + 1) // 2, samples // 2
-    # states of each kind per chunk, so that a chunk's tensor rows fit the budget
-    rows = max(1, _BATCH_ENTRIES // (2 * int(np.prod([p.n_outcomes for p in meas]))))
+    # states of each kind per chunk, so that the chunk fits the budget: per
+    # pure-mixed pair, two tensor rows, two d x d density matrices and the
+    # mixed draw's d x d factor M
+    rows = max(1, _BATCH_ENTRIES // (2 * int(np.prod([p.n_outcomes for p in meas]))
+                                     + 3 * dim * dim))
     violations, worst = 0, -np.inf
     for start in range(0, n_pure, rows):
         kets = _random_kets(pure_rng, min(rows, n_pure - start), dim)

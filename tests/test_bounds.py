@@ -142,24 +142,48 @@ class TestOmegaNumeric:
         with pytest.raises(BadParameter):
             omega_numeric([SX.povm()], restarts=0)
 
-    @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3"])
-    def test_batch_rows_do_not_interact(self, name, monkeypatch):
-        # a batch of start kets ends where each ket's own one-row run ends,
-        # and splitting the restarts into several batches changes nothing
-        meas = KERNEL_SETS[name]
+    @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3", "mub:3:4", "mub:5:2"])
+    def test_batch_keeps_maximum_of_one_row_runs(self, name, monkeypatch):
+        # a batch reaches the best one-row run; a row that ends elsewhere
+        # was dropped early, below the batch maximum; and splitting the
+        # restarts into several batches changes nothing
+        meas = ASCENT_SETS[name]
         effect_stacks = [np.array(p.effects) for p in meas]
-        rng = np.random.default_rng(47)
-        kets = np.array([random_ket(meas[0].dim, rng) for _ in range(8)])
         tensor_size = int(np.prod([p.n_outcomes for p in meas]))
-        for k in range(1, meas[0].n_outcomes):
-            batch = _ascend_topk(kets, effect_stacks, k, 400)
-            rows = [_ascend_topk(kets[i:i + 1], effect_stacks, k, 400)[0] for i in range(8)]
-            assert np.max(np.abs(batch - rows)) <= 1e-12
-            whole = _max_topk(meas, k, 8, np.random.SeedSequence(5))
-            with monkeypatch.context() as patch:
-                # batches of three restarts
-                patch.setattr(bounds, "_BATCH_ENTRIES", 3 * len(bounds._STEPS) * tensor_size)
-                assert abs(_max_topk(meas, k, 8, np.random.SeedSequence(5)) - whole) <= 1e-12
+        for seed in range(5):
+            kets = np.array([random_ket(meas[0].dim, np.random.default_rng(child))
+                             for child in np.random.SeedSequence(seed).spawn(8)])
+            for k in range(1, meas[0].n_outcomes):
+                batch = _ascend_topk(kets, effect_stacks, k, 400)
+                rows = np.array([_ascend_topk(kets[i:i + 1], effect_stacks, k, 400)[0]
+                                 for i in range(8)])
+                assert abs(batch.max() - rows.max()) <= 1e-12
+                dropped = np.abs(batch - rows) > 1e-12
+                assert np.all(batch[dropped] < rows[dropped])
+                assert np.all(batch[dropped] < batch.max())
+                whole = _max_topk(meas, k, 8, np.random.SeedSequence(seed))
+                assert abs(whole - batch.max()) <= 1e-12
+                with monkeypatch.context() as patch:
+                    # batches of three restarts
+                    patch.setattr(bounds, "_BATCH_ENTRIES", 3 * len(bounds._STEPS) * tensor_size)
+                    assert abs(_max_topk(meas, k, 8, np.random.SeedSequence(seed)) - whole) <= 1e-12
+
+    def test_crawling_restarts_are_dropped(self, monkeypatch):
+        # two of these ten restarts crawl near 0.2963 for all 400 iterations
+        # unless dropped; the other eight settle within 20 iterations
+        calls = 0
+        gradient_ops = bounds._topk_gradient_ops
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return gradient_ops(*args)
+
+        monkeypatch.setattr(bounds, "_topk_gradient_ops", counted)
+        meas = [o.povm() for o in mub_bases(3, 3)]
+        value = _max_topk(meas, 1, 10, np.random.SeedSequence(4))
+        assert calls <= 50
+        assert abs(value - 0.36153150907395715) <= 1e-12
 
     @pytest.mark.parametrize("name", ["x/y", "x/y/z", "mub:3:2", "mub:3:3"])
     def test_matches_per_restart_loop_values(self, name):
@@ -200,6 +224,11 @@ KERNEL_SETS = {
     "mub:3:2": [o.povm() for o in mub_bases(3, 2)],
     "mub:3:3": [o.povm() for o in mub_bases(3, 3)],
     "qutrit-povm": [random_qutrit_povm(np.random.default_rng(45))],
+}
+
+ASCENT_SETS = {name: KERNEL_SETS[name] for name in ("xyz", "mub:3:2", "mub:3:3")} | {
+    "mub:3:4": [o.povm() for o in mub_bases(3, 4)],
+    "mub:5:2": [o.povm() for o in mub_bases(5, 2)],
 }
 
 

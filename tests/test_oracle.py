@@ -85,14 +85,30 @@ class TestCensus:
         ([o.povm() for o in mub_bases(3, 3)], 41, 162),
     ], ids=["xy", "mub:3:3"])
     def test_chunking_does_not_change_the_census(self, meas, samples, entries, monkeypatch):
+        """Chunks leave the census as it is; each holds under ``_BATCH_ENTRIES`` entries.
+
+        The entries counted are the chunk's density matrices and tensor rows.
+        """
         bound = tightened(omega_numeric(meas, restarts=4, seed=0))
+        stacks = []
+
+        class RecordedStack(quantum.DensityStack):
+            def __post_init__(self):
+                super().__post_init__()
+                stacks.append(self.matrices)
+
+        monkeypatch.setattr(oracle, "DensityStack", RecordedStack)
         whole = verify_majorization_bound(bound, meas, samples, seed=12)
+        assert len(stacks) == 1
+        stacks.clear()
         calls = count_born_stats(monkeypatch)
         monkeypatch.setattr(oracle, "_BATCH_ENTRIES", entries)
         chunked = verify_majorization_bound(bound, meas, samples, seed=12)
         assert len(calls) > 5 * len(meas)
         assert 0 < whole.violations < samples
         assert chunked == whole
+        tensor_size = int(np.prod([p.n_outcomes for p in meas]))
+        assert all(a.size + len(a) * tensor_size <= entries for a in stacks)
 
     @pytest.mark.parametrize("samples", [1, 2])
     def test_one_or_two_samples(self, samples):
@@ -108,7 +124,8 @@ class TestCensus:
         calls = count_born_stats(monkeypatch)
         verify_majorization_bound(bound, [SX.povm(), SY.povm()], 64, seed=14)
         assert len(calls) == 2
-        monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 64)  # 8 pure + 8 mixed rows per chunk
+        # 8 pure + 8 mixed rows per chunk: 8 * (2 * 4 tensor + 3 * 4 matrix entries)
+        monkeypatch.setattr(oracle, "_BATCH_ENTRIES", 160)
         verify_majorization_bound(bound, [SX.povm(), SY.povm()], 64, seed=14)
         assert len(calls) == 2 + 2 * 4
 
