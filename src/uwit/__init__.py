@@ -28,6 +28,7 @@ from .bounds import (
     matched_outcome_events,
     mub_fine_grained_bound,
     omega_numeric,
+    omega_two_bases,
     omega_two_dichotomic,
     setting_pairs,
 )

@@ -4,9 +4,15 @@ Two bound families are computed here:
 
 * Majorization bound vectors omega for a measurement set, such that the
   tensor product of the measurement statistics of every state is majorized
-  by omega.  The two-dichotomic-measurement case has a closed form; the
-  general case is obtained by maximizing top-k sums of the tensor statistics
-  over pure states with multi-restart projected gradient ascent.  All
+  by omega.  For two nondegenerate observables of one dimension d each
+  top-k entry has the closed form ((1 + s_k)/2)^2 of Puchala, Rudnicki and
+  Zyczkowski, with s_k the largest norm of a block of the eigenbasis
+  overlaps.  It is used at every k whose blocks can be enumerated within
+  budget, and a witness state attains it wherever a 1 x k or k x 1 block
+  reaches s_k, which is every k when d <= 3 (``omega_two_bases``;
+  ``omega_two_dichotomic`` is its d = 2 case).  Every other top-k entry is
+  obtained by maximizing the sum of the k largest tensor statistics over
+  pure states with multi-restart projected gradient ascent.  All
   restarts advance together as one (R, d) stack of kets: each iteration
   builds every row's gradient operator at once, takes the eigenvector jumps
   with one batched ``eigh`` and runs every row's line search as one batch.
@@ -22,14 +28,17 @@ Two bound families are computed here:
   estimated with alternating eigenvector iterations, all restarts again
   advancing as one batch.
 
-Numeric bounds are inflated by a small certified slack before use, so
-numerical error can only weaken a detection, never fabricate one.
+Closed-form entries are rounded outward by half of ``CLOSED_FORM_MARGIN``.
+Numeric bounds are inflated by a small slack, ``NUMERIC_SLACK``, before
+use; an ascent can still end below the true maximum, so that slack does
+not prove them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,7 +55,12 @@ from .quantum import DensityState, Observable, Povm, random_ket, von_neumann_ent
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
+# A closed-form entry lies between its witness state's value and that value
+# plus this margin (32 ulps of 1); the closed form and the witness value
+# differ by at most 11 ulps in random pairs of bases up to d = 64.
+CLOSED_FORM_MARGIN = 2.0**-47
 ANALYTIC_TWO_DICHOTOMIC = "analytic_two_dichotomic"
+ANALYTIC_TWO_BASES = "analytic_two_bases"
 NUMERIC_TOPK = "numeric_topk"
 EIGEN_EXACT = "eigen_exact"
 ALTERNATING_NUMERIC = "alternating_numeric"
@@ -55,10 +69,7 @@ ALTERNATING_NUMERIC = "alternating_numeric"
 def _measurement_hash(povms: Sequence[Povm]):
     h = hashlib.sha256()
     for p in povms:
-        h.update(str(p.dim).encode())
-        for label, effect in zip(p.outcome_labels, p.effects):
-            h.update(label.encode())
-            h.update(np.ascontiguousarray(effect, dtype=complex).tobytes())
+        h.update(p.fingerprint_bytes)
     return h
 
 
@@ -94,7 +105,8 @@ class BoundVector:
 
     @property
     def certified(self) -> bool:
-        return self.method == ANALYTIC_TWO_DICHOTOMIC or self.certified_slack > 0.0
+        return (self.method in (ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES)
+                or self.certified_slack > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,26 +135,6 @@ def _max_overlap(x: Observable, y: Observable) -> float:
     if not x.nondegenerate or not y.nondegenerate:
         raise Degenerate("observables must have nondegenerate spectra")
     return max(0.0, *(float(np.trace(pk @ qj).real) for pk in x.effects for qj in y.effects))
-
-
-def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
-    """Closed-form majorization bound for two nondegenerate qubit observables.
-
-    With c the largest eigenvector overlap the bound is
-    ((1 + c)^2 / 4, 1 - (1 + c)^2 / 4, 0, 0).  The second cumulative entry is
-    (1 + c')^2 / 4 with c' the largest root-sum-square overlap over
-    eigenvector pairs sharing exactly one index; rank-one projectors make
-    every row of tr(P_k Q_j) sum to one, so c' = 1.
-    """
-    if x.dim != 2 or y.dim != 2:
-        raise DimensionMismatch("closed form applies to qubit observables only")
-    gamma1 = (1.0 + np.sqrt(_max_overlap(x, y))) ** 2 / 4.0
-    return BoundVector(
-        omega=ProbVec([gamma1, 1.0 - gamma1, 0.0, 0.0]),
-        method=ANALYTIC_TWO_DICHOTOMIC,
-        measurement_fingerprint=fingerprint_povms([x, y]),
-        certified_slack=0.0,
-    )
 
 
 def tensor_stats(kets: np.ndarray,
@@ -278,7 +270,7 @@ def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
     return best
 
 
-def _concave_majorant_increments(cumulative: np.ndarray) -> np.ndarray:
+def _concave_majorant_increments(cumulative: Sequence[float]) -> list[float]:
     """Increments of the least concave majorant of (k, cumulative[k-1]) with (0, 0) prepended.
 
     The majorant dominates every input partial sum, so replacing the raw
@@ -294,10 +286,26 @@ def _concave_majorant_increments(cumulative: np.ndarray) -> np.ndarray:
             else:
                 break
         hull.append(pt)
-    xs = np.array([p[0] for p in hull])
-    ys = np.array([p[1] for p in hull])
-    levels = np.interp(np.arange(len(pts), dtype=float), xs, ys)
-    return np.diff(levels)
+    # a k between two hull vertices takes the value of the chord joining
+    # them; the vertices keep their exact values
+    levels = [0.0]
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        levels += [slope * (x - x0) + y0 for x in range(int(x0) + 1, int(x1))] + [y1]
+    return [b - a for a, b in zip(levels, levels[1:])]
+
+
+def _omega_from_cumulative(cumulative: Sequence[float], tensor_size: int) -> ProbVec:
+    """Bound vector of ``tensor_size`` entries from the top-k bounds for k = 1 .. n - 1.
+
+    The top-n entry is pinned to 1, the entries are capped at 1 and made
+    nondecreasing, and a least concave majorant repairs the increments.
+    """
+    levels = list(itertools.accumulate((min(float(c), 1.0) for c in cumulative), max))
+    levels.append(1.0)
+    omega = np.zeros(tensor_size)
+    omega[: len(levels)] = _concave_majorant_increments(levels)
+    return ProbVec(omega)
 
 
 def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> BoundVector:
@@ -322,21 +330,124 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
     seeds = np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))
-    cumulative = []
-    for k in range(1, d_out):
-        gamma = _max_topk(meas, k, restarts, seeds[k - 1])
-        cumulative.append(min(gamma + NUMERIC_SLACK, 1.0))
-    cumulative.append(1.0)
-    cumulative = np.maximum.accumulate(np.array(cumulative))
-    increments = _concave_majorant_increments(cumulative)
-    omega = np.zeros(tensor_size)
-    omega[: d_out] = increments
+    cumulative = [_max_topk(meas, k, restarts, seeds[k - 1]) + NUMERIC_SLACK
+                  for k in range(1, d_out)]
     return BoundVector(
-        omega=ProbVec(omega),
+        omega=_omega_from_cumulative(cumulative, tensor_size),
         method=NUMERIC_TOPK,
         measurement_fingerprint=fingerprint_povms(meas),
         certified_slack=NUMERIC_SLACK,
     )
+
+
+def _unit_kets(effects: np.ndarray) -> np.ndarray:
+    """Unit kets spanning an (n, d, d) stack of rank-one projectors, as rows.
+
+    Each is its projector's largest column, normalized.
+    """
+    diag = effects.diagonal(axis1=1, axis2=2).real
+    rows = np.arange(len(effects))
+    m = diag.argmax(axis=1)
+    return effects[rows, :, m] / np.sqrt(diag[rows, m])[:, None]
+
+
+# the blocks of one k are enumerated only while they hold at most this many
+# entries: 16 MiB of complex blocks, whose SVDs take about half a second
+_BLOCK_ENTRIES = 2**20
+
+
+def _block_norms(u: np.ndarray, k: int) -> float:
+    """Largest spectral norm of an r x c block of ``u`` with r + c = k + 1 and r, c >= 2.
+
+    Returns -inf when no such block exists and inf when enumerating the
+    blocks would exceed ``_BLOCK_ENTRIES`` entries.
+    """
+    d = len(u)
+    shapes = [(r, k + 1 - r) for r in range(2, k) if k + 1 - r <= d and r <= d]
+    if sum(math.comb(d, r) * math.comb(d, c) * r * c for r, c in shapes) > _BLOCK_ENTRIES:
+        return np.inf
+    best = -np.inf
+    for r, c in shapes:
+        rows = np.array(list(itertools.combinations(range(d), r)))
+        cols = np.array(list(itertools.combinations(range(d), c)))
+        blocks = u[rows[:, None, :, None], cols[None, :, None, :]]
+        best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[..., 0].max()))
+    return best
+
+
+def _overlap_norms(x: Observable, y: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Largest norms of the blocks of the eigenbasis overlaps, for k = 1 .. d - 1.
+
+    With U_ij = <a_i|b_j>, returns s_line, the largest norm of a 1 x k or
+    k x 1 block, and s_rest, that of an r x c block with r + c = k + 1 and
+    r, c >= 2 (see :func:`_block_norms`).  Every state's top-k
+    tensor-statistic sum is at most ((1 + max(s_line, s_rest))/2)^2
+    (Puchala, Rudnicki and Zyczkowski, J. Phys. A 46, 272002 (2013)).  A
+    line block is attained: for a row i of U and the k columns C of its
+    largest entries, the block has norm s = ||P_C a_i||, and the bisector of
+    a_i and P_C a_i / s has |<a_i|psi>|^2 = ||P_C psi||^2 = (1 + s)/2, so
+    the k entries of its tensor statistics at (i, C) sum to ((1 + s)/2)^2.
+    """
+    d = x.dim
+    kets = _unit_kets(np.array([*x.effects, *y.effects]))
+    u = kets[:d].conj() @ kets[d:].T
+    weight = np.abs(u) ** 2
+    # a line block's squared norm is the sum of its entries of |U|^2; the
+    # best 1 x k (k x 1) block takes the k largest of a row (column)
+    lines = np.sort(np.concatenate([weight, weight.T]), axis=1)[:, :0:-1]
+    s_line = np.sqrt(lines.cumsum(axis=1).max(axis=0))
+    return s_line, np.array([_block_norms(u, k) for k in range(1, d)])
+
+
+def omega_two_bases(x: Observable, y: Observable, restarts: int = 64,
+                    seed: int = 0) -> BoundVector:
+    """Majorization bound for two nondegenerate observables of one dimension d.
+
+    Each k < d whose blocks fit ``_BLOCK_ENTRIES`` takes the closed form of
+    :func:`_overlap_norms` plus half of ``CLOSED_FORM_MARGIN``.  Where a
+    line block reaches s_k, as it does for every k when d <= 3, that puts
+    the entry between the value of its witness state and that value plus
+    the margin; elsewhere it is a proven bound above every state's value.
+    Any other k runs the restart ascent of ``omega_numeric`` with the same
+    seeds; its entry is the larger of the ascent and line witness values
+    plus ``NUMERIC_SLACK``.
+    """
+    if not all(isinstance(m, Observable) and m.nondegenerate for m in (x, y)):
+        raise Degenerate("observables must have nondegenerate spectra")
+    if x.dim != y.dim:
+        raise DimensionMismatch("observables must share one dimension")
+    d = x.dim
+    s_line, s_rest = _overlap_norms(x, y)
+    cumulative = (1.0 + np.maximum(s_line, s_rest)) ** 2 / 4.0 + CLOSED_FORM_MARGIN / 2.0
+    method, slack = (ANALYTIC_TWO_DICHOTOMIC if d == 2 else ANALYTIC_TWO_BASES), 0.0
+    over = [k for k in range(1, d) if s_rest[k - 1] == np.inf]
+    if over:
+        if restarts < 1:
+            raise BadParameter("at least one restart is required")
+        method, slack = NUMERIC_TOPK, NUMERIC_SLACK
+        witness = (1.0 + s_line) ** 2 / 4.0
+        seeds = np.random.SeedSequence(seed).spawn(d - 1)
+        for k in over:
+            ascent = _max_topk([x, y], k, restarts, seeds[k - 1])
+            cumulative[k - 1] = max(ascent, witness[k - 1]) + NUMERIC_SLACK
+    return BoundVector(
+        omega=_omega_from_cumulative(cumulative, d * d),
+        method=method,
+        measurement_fingerprint=fingerprint_povms([x, y]),
+        certified_slack=slack,
+    )
+
+
+def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
+    """Closed-form majorization bound for two nondegenerate qubit observables.
+
+    The d = 2 case of :func:`omega_two_bases`: with c the largest squared
+    eigenvector overlap, omega is ((1 + sqrt c)^2 / 4, 1 - (1 + sqrt c)^2 / 4,
+    0, 0), the first entry raised by half of ``CLOSED_FORM_MARGIN``.
+    """
+    if x.dim != 2 or y.dim != 2:
+        raise DimensionMismatch("closed form applies to qubit observables only")
+    return omega_two_bases(x, y)
 
 
 def maassen_uffink(x: Observable, y: Observable, state: DensityState | None = None) -> float:

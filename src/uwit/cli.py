@@ -31,7 +31,7 @@ from .bounds import (
     fine_grained_bound_product,
     matched_outcome_events,
     omega_numeric,
-    omega_two_dichotomic,
+    omega_two_bases,
     setting_pairs,
 )
 from .criteria import (
@@ -186,11 +186,11 @@ def _measurements(spec) -> list[Povm]:
 
 
 def _bound(meas, restarts: int, seed: int) -> BoundVector:
-    """Closed form for two nondegenerate qubit observables, else the numeric ascent."""
-    if len(meas) == 2 and all(
-        isinstance(m, Observable) and m.dim == 2 and m.nondegenerate for m in meas
+    """Two nondegenerate observables of one dimension: ``omega_two_bases``; else the ascent."""
+    if len(meas) == 2 and meas[0].dim == meas[1].dim and all(
+        isinstance(m, Observable) and m.nondegenerate for m in meas
     ):
-        return omega_two_dichotomic(*meas)
+        return omega_two_bases(*meas, restarts=restarts, seed=seed)
     return omega_numeric(meas, restarts=restarts, seed=seed)
 
 

@@ -15,6 +15,7 @@ and basis builders check that limit before they allocate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,22 +62,36 @@ def _check_dim(d: int) -> None:
         raise BadParameter(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
 
 
+# _check_density works through a stack in chunks of at most this many
+# matrix entries, so that its temporaries stay small next to the stack
+_CHECK_ENTRIES = 2**18
+
+
 def _check_density(a: np.ndarray) -> None:
     """Raise unless every matrix over the trailing two axes of ``a`` is a density matrix.
 
     Finite, Hermitian within ``HERM_TOL``, trace within ``TRACE_TOL`` of one,
-    and no eigenvalue below ``-PSD_TOL`` (one batched ``eigvalsh``).
+    and no eigenvalue below ``-PSD_TOL``, in that order of precedence.  The
+    Hermiticity and eigenvalue checks take the stack in chunks of at most
+    ``_CHECK_ENTRIES`` entries, one batched ``eigvalsh`` per chunk.
     """
     if not np.isfinite(a).all():
         raise BadParameter("matrix entries must be finite")
-    adjoint = a.conj().swapaxes(-1, -2)
-    if np.abs(a - adjoint).max() > HERM_TOL:
+    d = a.shape[-1]
+    stack = a.reshape(-1, d, d)
+    rows = max(1, _CHECK_ENTRIES // (d * d))
+    deviation, wmin = 0.0, np.inf
+    for start in range(0, len(stack), rows):
+        chunk = stack[start:start + rows]
+        adjoint = chunk.conj().swapaxes(1, 2)
+        deviation = max(deviation, np.abs(chunk - adjoint).max())
+        wmin = min(wmin, np.linalg.eigvalsh((chunk + adjoint) / 2.0)[:, 0].min())
+    if deviation > HERM_TOL:
         raise NotHermitian("density matrix is not Hermitian within tolerance")
     trace = a.trace(axis1=-2, axis2=-1)
     bad = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
     if bad.any():
         raise BadParameter(f"density matrix trace {trace[bad].flat[0]:.12f} is not 1")
-    wmin = np.linalg.eigvalsh((a + adjoint) / 2.0)[..., 0].min()
     if wmin < -PSD_TOL:
         raise BadParameter(f"density matrix has negative eigenvalue {wmin:.3e}")
 
@@ -183,6 +198,17 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
+
+    @cached_property
+    def fingerprint_bytes(self) -> bytes:
+        """The dimension, then each label and effect: what a measurement fingerprint hashes.
+
+        Built on first use and kept, since the POVM is immutable.
+        """
+        parts = [str(self.dim).encode()]
+        for label, effect in zip(self.outcome_labels, self.effects):
+            parts += [label.encode(), np.ascontiguousarray(effect, dtype=complex).tobytes()]
+        return b"".join(parts)
 
     def effect_for(self, label: str) -> np.ndarray:
         try:

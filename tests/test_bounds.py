@@ -29,18 +29,25 @@ from uwit import (
     mub_fine_grained_bound,
     observable_from_matrix,
     omega_numeric,
+    omega_two_bases,
     omega_two_dichotomic,
     pauli_observable,
     tensor_all,
     uniform,
 )
-from uwit import bounds
+from uwit import bounds, cli
+from uwit.assemblage import matrix_from_json, matrix_to_json
 from uwit.bounds import (
+    ANALYTIC_TWO_BASES,
+    ANALYTIC_TWO_DICHOTOMIC,
+    CLOSED_FORM_MARGIN,
     NUMERIC_SLACK,
+    NUMERIC_TOPK,
     _alternate,
     _ascend_topk,
     _concave_majorant_increments,
     _max_topk,
+    _overlap_norms,
     outcome_string_fingerprints,
     tensor_stats,
     topk_sums,
@@ -109,6 +116,177 @@ class TestOmegaTwoDichotomic:
             p1 = max(born_stats(state, SZ.povm()).values)
             q1 = max(born_stats(state, SX.povm()).values)
             assert np.log2(p1) + np.log2(q1) <= np.log2(bound.omega[0]) + 1e-9
+
+
+def gue_observable(d, rng):
+    """Observable of a random Hermitian matrix with complex Gaussian entries."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return observable_from_matrix((a + a.conj().T) / 2)
+
+
+def line_witness_values(x, y):
+    """For k = 1 .. d - 1, the largest top-k sum over the bisector witnesses of all lines.
+
+    A line is a row i of the overlaps U_ij = <a_i|b_j> (or a row of U^dagger);
+    with C its k largest entries, the witness is the bisector of a_i and the
+    unit projection of a_i onto span{b_j : j in C}.
+    """
+    d = x.dim
+    a = np.linalg.eigh(x.matrix)[1][:, ::-1].T
+    b = np.linalg.eigh(y.matrix)[1][:, ::-1].T
+    u = a.conj() @ b.T
+    effects = [np.array(x.effects), np.array(y.effects)]
+    best = np.zeros(d - 1)
+    for kets, others, v in ((a, b, u), (b, a, u.conj().T)):
+        for i in range(d):
+            order = np.argsort(-np.abs(v[i]))
+            for k in range(1, d):
+                proj = others[order[:k]].T @ v[i, order[:k]].conj()
+                psi = kets[i] + proj / np.linalg.norm(proj)
+                t = tensor_stats((psi / np.linalg.norm(psi))[None], effects)[1]
+                best[k - 1] = max(best[k - 1], topk_sums(t, k)[0])
+    return best
+
+
+def closed_form(x, y):
+    """The closed-form top-k bounds of two bases, and where a line block attains them."""
+    s_line, s_rest = _overlap_norms(x, y)
+    return ((1.0 + np.maximum(s_line, s_rest)) ** 2 / 4.0,
+            s_rest <= s_line + CLOSED_FORM_MARGIN / 4.0)
+
+
+def top_sums(bound, d):
+    """The top-k bounds omega_1 + ... + omega_k for k = 1 .. d - 1."""
+    return np.cumsum(bound.omega.values)[: d - 1]
+
+
+class TestOmegaTwoBases:
+    # random pairs for which the 16-restart ascent at seed 0 ends below a
+    # witness state: by 0.043 (k = 2), 0.095 (k = 1), 0.14 (k = 1), 0.070 (k = 2)
+    @pytest.mark.parametrize("d, seed", [(5, 7), (5, 13), (6, 11), (6, 19)])
+    def test_cli_bound_reaches_every_witness(self, d, seed, tmp_path):
+        rng = np.random.default_rng([d, seed])
+        matrices = [matrix_to_json(gue_observable(d, rng).matrix) for _ in range(2)]
+        # the observables the cli builds from the config
+        x, y = (observable_from_matrix(matrix_from_json(m)) for m in matrices)
+        witness = line_witness_values(x, y)
+        assert np.any(witness > top_sums(omega_numeric([x, y], restarts=16, seed=0), d))
+        path, report = tmp_path / "bound.json", tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "scenario_kind": "bound_only",
+            "measurements": {"meas": [{"observable": m} for m in matrices]},
+        }))
+        assert cli.run(str(path), json_path=str(report), seed=0, restarts=16, quiet=True) == 0
+        omega = json.loads(report.read_text())["bound_vector"]["omega"]
+        assert np.all(np.cumsum(omega)[: d - 1] >= witness)
+
+    def test_closed_form_entries_bracket_their_witness(self):
+        rng = np.random.default_rng(48)
+        for d in (2, 3, 4, 5, 6):
+            for _ in range(6):
+                x, y = gue_observable(d, rng), gue_observable(d, rng)
+                closed, exact = closed_form(x, y)
+                witness = line_witness_values(x, y)
+                assert exact.all() or d > 3
+                entry = closed + CLOSED_FORM_MARGIN / 2.0
+                assert np.all(witness <= entry)
+                assert np.all(entry[exact] <= witness[exact] + CLOSED_FORM_MARGIN)
+                top = top_sums(omega_two_bases(x, y, restarts=0), d)
+                assert np.all(top >= witness)
+                if d <= 3:
+                    # no concave repair: every entry is its closed form
+                    assert np.all(top <= witness + CLOSED_FORM_MARGIN)
+
+    @pytest.mark.parametrize("d", [8, 16, 32, 64])
+    def test_line_closed_form_within_margin_of_its_witness(self, d):
+        rng = np.random.default_rng([53, d])
+        x, y = gue_observable(d, rng), gue_observable(d, rng)
+        s_line = _overlap_norms(x, y)[0]
+        entry = (1.0 + s_line) ** 2 / 4.0 + CLOSED_FORM_MARGIN / 2.0
+        witness = line_witness_values(x, y)
+        assert np.all(witness <= entry) and np.all(entry <= witness + CLOSED_FORM_MARGIN)
+
+    def test_at_least_ascent_and_brute_force(self):
+        rng = np.random.default_rng(49)
+        for d in (2, 3, 4, 5):
+            for trial in range(4):
+                x, y = gue_observable(d, rng), gue_observable(d, rng)
+                top = top_sums(omega_two_bases(x, y, restarts=8), d)
+                for k in range(1, d):
+                    assert top[k - 1] >= _max_topk([x, y], k, 8, np.random.SeedSequence(trial))
+                    if d <= 3:
+                        assert top[k - 1] >= brute_force_topk([x, y], k, 20_000)
+
+    def test_mub32_matches_ascent_and_landau_pollak(self):
+        meas = mub_bases(3, 2)
+        bound = omega_two_bases(*meas)
+        assert bound.method == ANALYTIC_TWO_BASES and bound.certified
+        top = top_sums(bound, 3)
+        # the ascent stops once a step gains less than STEP_TOL = 1e-10; at
+        # k = 1 it ends 6e-11 below the Landau-Pollak optimum
+        for k in (1, 2):
+            ascent = _max_topk(meas, k, 16, np.random.SeedSequence(k))
+            assert ascent <= top[k - 1] <= ascent + 1e-10
+        landau_pollak = ((1.0 + 1.0 / np.sqrt(3.0)) / 2.0) ** 2
+        assert landau_pollak < bound.omega[0] <= landau_pollak + CLOSED_FORM_MARGIN
+
+    def test_qubit_case_is_omega_two_dichotomic(self):
+        rng = np.random.default_rng(50)
+        for x, y in [(SX, SY), (SZ, SX), (random_qubit_observable(rng), SZ)]:
+            general, qubit = omega_two_bases(x, y), omega_two_dichotomic(x, y)
+            assert general.method == qubit.method == ANALYTIC_TWO_DICHOTOMIC
+            assert np.array_equal(general.omega.values, qubit.omega.values)
+
+    def test_inexact_k_takes_the_closed_form(self):
+        # a 2 x 2 block beats every line at k = 3, so no witness state
+        # attains the closed form there; it is still a bound
+        rng = np.random.default_rng(51)
+        while True:
+            x, y = gue_observable(4, rng), gue_observable(4, rng)
+            closed, exact = closed_form(x, y)
+            if not exact.all():
+                break
+        bound = omega_two_bases(x, y, restarts=0)
+        assert bound.method == ANALYTIC_TWO_BASES and bound.certified
+        top = top_sums(bound, 4)
+        assert np.all(top >= closed)
+        assert top[2] >= _max_topk([x, y], 3, 64, np.random.SeedSequence(0))
+        assert top[2] >= line_witness_values(x, y)[2]
+
+    def test_blocks_over_budget_run_the_ascent(self, monkeypatch):
+        # at d = 4 and k = 3 the 2 x 2 blocks number 36, with 144 entries
+        rng = np.random.default_rng(52)
+        x, y = gue_observable(4, rng), gue_observable(4, rng)
+        assert omega_two_bases(x, y, restarts=0).method == ANALYTIC_TWO_BASES
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 143)
+        s_line, s_rest = _overlap_norms(x, y)
+        assert list(s_rest) == [-np.inf, -np.inf, np.inf]
+        bound = omega_two_bases(x, y, restarts=4, seed=3)
+        assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+        ascent = _max_topk([x, y], 3, 4, np.random.SeedSequence(3).spawn(3)[2])
+        witness = ((1.0 + s_line[2]) / 2.0) ** 2
+        assert top_sums(bound, 4)[2] >= max(ascent, witness) + NUMERIC_SLACK - 1e-15
+        with pytest.raises(BadParameter):
+            omega_two_bases(x, y, restarts=0)
+
+    def test_rejects_what_has_no_closed_form(self):
+        with pytest.raises(Degenerate):
+            omega_two_bases(observable_from_matrix(np.eye(3)), mub_bases(3, 2)[0])
+        with pytest.raises(Degenerate):
+            omega_two_bases(SX.povm(), Povm((np.eye(2) / 2, np.eye(2) / 2), ("a", "b")))
+        with pytest.raises(DimensionMismatch):
+            omega_two_bases(SX, mub_bases(3, 2)[0])
+
+    def test_cli_uses_the_closed_form_for_two_bases(self, tmp_path):
+        report = tmp_path / "report.json"
+        config = tmp_path / "bound.json"
+        config.write_text(json.dumps({"scenario_kind": "bound_only",
+                                      "measurements": {"meas": "mub:3:2"}}))
+        # no ascent runs, so no restarts are needed
+        assert cli.run(str(config), json_path=str(report), restarts=0, quiet=True) == 0
+        payload = json.loads(report.read_text())["bound_vector"]
+        assert payload["method"] == ANALYTIC_TWO_BASES
+        assert payload["omega"] == list(omega_two_bases(*mub_bases(3, 2)).omega.values)
 
 
 class TestOmegaNumeric:
@@ -421,6 +599,11 @@ class TestFingerprints:
                 assert bound.measurement_fingerprint == reference(meas, "|".join(labels))
             assert (fine_grained_bound(meas, strings[-1], priors).measurement_fingerprint
                     == reference(meas, "|".join(strings[-1])))
+
+    def test_bytes_built_once_per_measurement(self):
+        povm = mub_bases(3, 2)[0]
+        assert povm.fingerprint_bytes is povm.fingerprint_bytes
+        assert fingerprint_povms([povm]) == hashlib.sha256(povm.fingerprint_bytes).hexdigest()
 
     def test_random_pair_validity(self):
         rng = np.random.default_rng(43)

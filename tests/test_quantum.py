@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from uwit import (
     von_neumann_entropy,
     werner,
 )
+from uwit import quantum
 from uwit.quantum import (
     MAX_DIM,
     PAULI_I,
@@ -151,6 +154,37 @@ class TestDensityStack:
             DensityStack(np.array([np.eye(2) / 2, [[np.nan, 0], [0, 0.5]]]))
         with pytest.raises(BadParameter):
             DensityStack(np.eye(MAX_DIM + 1)[None] / (MAX_DIM + 1))
+
+    @pytest.mark.parametrize("bad", [NON_HERMITIAN, WRONG_TRACE, NEGATIVE],
+                             ids=["non-hermitian", "trace", "negative-eigenvalue"])
+    def test_rejects_a_bad_matrix_in_any_chunk(self, bad, monkeypatch):
+        # chunks of two qubit matrices; the bad one is alone in the last
+        monkeypatch.setattr(quantum, "_CHECK_ENTRIES", 8)
+        with pytest.raises((NotHermitian, BadParameter)) as single:
+            DensityState(bad)
+        good = maximally_mixed(2).matrix
+        with pytest.raises(single.type):
+            DensityStack(np.array([good] * 4 + [bad]))
+
+    def test_hermiticity_is_checked_before_positivity(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_CHECK_ENTRIES", 8)
+        good = maximally_mixed(2).matrix
+        with pytest.raises(NotHermitian):
+            DensityStack(np.array([NEGATIVE, good, good, NON_HERMITIAN]))
+
+    def test_validation_temporaries_stay_below_the_stack_size(self):
+        # 2^18 qubit matrices, four chunks: besides the stored copy, checking
+        # them holds chunk-sized temporaries only (whole-stack temporaries
+        # for the adjoint, the difference and its modulus took 2.5 stacks)
+        stack = np.broadcast_to(maximally_mixed(2).matrix, (2**18, 2, 2)).copy()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            DensityStack(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * stack.nbytes
 
     def test_read_only_copy(self):
         raw = np.array([np.eye(2) / 2], dtype=complex)
