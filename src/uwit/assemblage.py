@@ -1,10 +1,13 @@
 """Steering assemblages: Bob's subnormalized steered states and their statistics.
 
 An assemblage maps (Alice setting, Alice outcome) to a positive subnormalized
-operator on Bob's space.  Summed over outcomes, every setting must reproduce
-the same reduced state; that no-signaling consistency is validated on
-construction.  Assemblages can also be built from an explicit local hidden
-state model, which yields guaranteed-unsteerable fixtures for the criteria.
+operator on Bob's space.  Each setting lists distinct outcomes, and summed
+over them it must reproduce the same reduced state; those checks, and the
+quantum module's Hermitian/PSD check of each setting's elements as one stack,
+run on construction.  Steered operators and conditional statistics come from
+the quantum module's Born-rule contractions.  Assemblages can also be built
+from an explicit local hidden state model, which yields guaranteed-unsteerable
+fixtures for the criteria.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, NotADistribution, NotHermitian
+from .errors import BadParameter, DimensionMismatch, NotADistribution
 from .probvec import ProbVec
-from .quantum import HERM_TOL, PSD_TOL, DensityState, Povm, _as_square_complex
+from .quantum import PSD_TOL, DensityState, Povm, _as_square_complex, _check_hermitian_psd
+from .quantum import _steered, _traces
 
 CONSISTENCY_TOL = 1e-8
 EPS_COND = 1e-10    # outcomes with smaller weight are omitted, not renormalized
@@ -36,27 +40,21 @@ class Assemblage:
             raise BadParameter("an assemblage needs at least one setting and bob_dim >= 1")
         sums = {}
         for setting in self.settings:
-            total = np.zeros((self.bob_dim, self.bob_dim), dtype=complex)
-            for outcome in self.outcomes[setting]:
-                op = _as_square_complex(self.elements[(setting, outcome)])
-                if op.shape[0] != self.bob_dim:
-                    raise DimensionMismatch("element dimension differs from bob_dim")
-                if np.max(np.abs(op - op.conj().T)) > HERM_TOL:
-                    raise NotHermitian(
-                        f"assemblage element ({setting}, {outcome}) is not Hermitian"
-                    )
-                wmin = float(np.linalg.eigvalsh((op + op.conj().T) / 2.0)[0])
-                if wmin < -PSD_TOL:
-                    raise BadParameter(
-                        f"assemblage element ({setting}, {outcome}) has eigenvalue {wmin:.3e}"
-                    )
-                tr = float(np.trace(op).real)
-                if tr < -PSD_TOL or tr > 1.0 + PSD_TOL:
-                    raise BadParameter(f"element trace {tr:.6f} outside [0, 1]")
-                total += op
-            sums[setting] = total
+            outcomes = self.outcomes[setting]
+            if not outcomes or len(set(outcomes)) != len(outcomes):
+                raise BadParameter(f"setting {setting} needs distinct outcomes, got {outcomes}")
+            mats = [_as_square_complex(self.elements[(setting, o)]) for o in outcomes]
+            if any(m.shape[0] != self.bob_dim for m in mats):
+                raise DimensionMismatch("element dimension differs from bob_dim")
+            ops = np.array(mats)
+            _check_hermitian_psd(ops, f"assemblage element of setting {setting}")
+            traces = ops.trace(axis1=1, axis2=2).real
+            bad = (traces < -PSD_TOL) | (traces > 1.0 + PSD_TOL)
+            if bad.any():
+                raise BadParameter(f"element trace {traces[bad][0]:.6f} outside [0, 1]")
+            sums[setting] = ops.sum(axis=0)
         first = sums[self.settings[0]]
-        if abs(float(np.trace(first).real) - 1.0) > CONSISTENCY_TOL:
+        if abs(float(first.trace().real) - 1.0) > CONSISTENCY_TOL:
             raise BadParameter("assemblage does not sum to a unit-trace reduced state")
         for setting in self.settings[1:]:
             if np.max(np.abs(sums[setting] - first)) > CONSISTENCY_TOL:
@@ -84,9 +82,8 @@ def steer(state: DensityState, alice_meas: Sequence[Povm]) -> Assemblage:
             raise DimensionMismatch(
                 f"Alice measurement dimension {povm.dim} does not match factor {da}"
             )
-        for label, effect in zip(povm.outcome_labels, povm.effects):
-            big = np.kron(effect, np.eye(db)) @ state.matrix
-            elements[(setting, label)] = np.einsum("ijil->jl", big.reshape(da, db, da, db))
+        steered = _steered(np.array(povm.effects), state)
+        elements.update(((setting, label), op) for label, op in zip(povm.outcome_labels, steered))
         outcomes[setting] = povm.outcome_labels
     return Assemblage(elements, tuple(range(len(alice_meas))), outcomes, db)
 
@@ -110,17 +107,18 @@ def conditional_stats(asm: Assemblage, setting: int, bob_meas: Povm) -> Conditio
         raise BadParameter(f"unknown setting {setting!r}")
     if bob_meas.dim != asm.bob_dim:
         raise DimensionMismatch("Bob measurement dimension differs from assemblage")
+    outcomes = asm.outcomes[setting]
+    ops = np.array([asm.elements[(setting, outcome)] for outcome in outcomes])
+    weights = ops.trace(axis1=1, axis2=2).real
+    table = np.clip(_traces(np.array(bob_meas.effects), ops), 0.0, None)
     entries: dict[str, tuple[float, ProbVec]] = {}
     omitted: list[str] = []
-    for outcome in asm.outcomes[setting]:
-        op = asm.elements[(setting, outcome)]
-        weight = float(np.trace(op).real)
+    for outcome, weight, probs in zip(outcomes, weights, table):
         if weight <= EPS_COND:
             omitted.append(outcome)
             continue
-        probs = np.array([float(np.trace(e @ op).real) for e in bob_meas.effects])
-        probs = np.clip(probs, 0.0, None) / weight
-        entries[outcome] = (weight, ProbVec(probs / probs.sum()))
+        probs = probs / weight
+        entries[outcome] = (float(weight), ProbVec(probs / probs.sum()))
     return ConditionalStats(setting, entries, tuple(omitted))
 
 
@@ -138,32 +136,20 @@ def lhs_assemblage(hidden: Sequence[tuple[float, DensityState]],
     weights = ProbVec([w for w, _ in hidden])
     if len(response) != len(hidden):
         raise NotADistribution("one response row per hidden variable is required")
-    n_settings = len(response[0])
-    n_outcomes = len(response[0][0])
-    bob_dim = hidden[0][1].dim
-    rows: list[list[ProbVec]] = []
-    for lam, row in enumerate(response):
-        if len(row) != n_settings:
-            raise NotADistribution("inconsistent number of settings in response")
-        dists = []
-        for dist in row:
-            pv = dist if isinstance(dist, ProbVec) else ProbVec(dist)
-            if pv.dim != n_outcomes:
-                raise NotADistribution("inconsistent number of outcomes in response")
-            dists.append(pv)
-        if hidden[lam][1].dim != bob_dim:
-            raise DimensionMismatch("hidden states must share Bob's dimension")
-        rows.append(dists)
+    rows = [[d if isinstance(d, ProbVec) else ProbVec(d) for d in row] for row in response]
+    if len({len(row) for row in rows}) != 1 or len({pv.dim for row in rows for pv in row}) != 1:
+        raise NotADistribution("every response row needs the same settings and outcome counts")
+    if len({sigma.dim for _, sigma in hidden}) != 1:
+        raise DimensionMismatch("hidden states must share Bob's dimension")
+    n_settings, n_outcomes = len(rows[0]), rows[0][0].dim
     labels = tuple(str(a) for a in range(n_outcomes))
-    elements: dict[tuple[int, str], np.ndarray] = {}
-    for setting in range(n_settings):
-        for a, label in enumerate(labels):
-            op = np.zeros((bob_dim, bob_dim), dtype=complex)
-            for lam, (w, sigma) in enumerate(zip(weights.values, (s for _, s in hidden))):
-                op += w * rows[lam][setting][a] * sigma.matrix
-            elements[(setting, label)] = op
+    responses = np.array([[pv.values for pv in row] for row in rows])
+    sigmas = np.array([sigma.matrix for _, sigma in hidden])
+    # element (s, a) = sum_lam p(lam) p(a | s, lam) sigma_lam
+    ops = np.einsum("l,lsa,lij->saij", weights.values, responses, sigmas)
+    elements = {(s, label): ops[s, a] for s in range(n_settings) for a, label in enumerate(labels)}
     outcomes = {s: labels for s in range(n_settings)}
-    return Assemblage(elements, tuple(range(n_settings)), outcomes, bob_dim)
+    return Assemblage(elements, tuple(range(n_settings)), outcomes, sigmas.shape[1])
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:

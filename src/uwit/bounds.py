@@ -51,7 +51,7 @@ from .errors import (
     NoConvergence,
 )
 from .probvec import ProbVec, tensor_rows
-from .quantum import DensityState, Observable, Povm, random_ket, von_neumann_entropy
+from .quantum import DensityState, Observable, Povm, _traces, random_ket, von_neumann_entropy
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
@@ -134,7 +134,7 @@ def _max_overlap(x: Observable, y: Observable) -> float:
     """Largest squared eigenvector overlap max_kj tr(P_k Q_j), clipped at zero."""
     if not x.nondegenerate or not y.nondegenerate:
         raise Degenerate("observables must have nondegenerate spectra")
-    return max(0.0, *(float(np.trace(pk @ qj).real) for pk in x.effects for qj in y.effects))
+    return max(0.0, float(_traces(np.array(x.effects), np.array(y.effects)).max()))
 
 
 def tensor_stats(kets: np.ndarray,

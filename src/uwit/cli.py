@@ -229,7 +229,7 @@ def _entanglement_fine_grained(config: dict, restarts: int, seed: int):
     else:
         outcomes = (_field(spec, "a", tuple), _field(spec, "b", tuple))
     priors = _field(config, "priors", ProbVec, None) or ProbVec(
-        [1.0 / len(meas_a) if i == j else 0.0 for i, j in pairs]
+        [1.0 / min(len(meas_a), len(meas_b)) if i == j else 0.0 for i, j in pairs]
     )
     bound = fine_grained_bound_product(meas_a, meas_b, outcomes, priors, restarts, seed)
     return lambda state: [entanglement_fine_grained(state, meas_a, meas_b, outcomes, priors, bound)]

@@ -6,7 +6,8 @@ certifies the correlation.  Fine-grained criteria compare prior-weighted hit
 probabilities against an eigenvalue bound; a value strictly above certifies.
 All verdicts require the violation to clear ``DETECTION_MARGIN``, and reports
 carry a certified flag that is true only when every bound involved is
-analytic or slack-inflated.
+analytic or slack-inflated.  Probabilities are read from tables of the
+quantum module's Born-rule contractions, one per measurement or setting pair.
 
 The fine-grained steering evaluation plays the outcome-matching game: for a
 column given by Bob's outcome string and Alice's announced string, the score
@@ -45,13 +46,8 @@ from .errors import (
 )
 from .probvec import ProbVec
 from .quantifier import Quantifier
-from .quantum import (
-    DensityState,
-    Observable,
-    Povm,
-    bloch_observable,
-    product_observable_stats,
-)
+from .quantum import DensityState, Observable, Povm, bloch_observable, product_observable_stats
+from .quantum import _outcome_index, _steered, _traces
 
 DETECTION_MARGIN = 1e-9
 DETECTED = "Detected"
@@ -178,13 +174,16 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
             "bound was not generated from these measurements, outcomes and priors"
         )
     pairs = setting_pairs(len(meas_a), len(meas_b))
+    steered = [_steered(np.array(povm.effects), state) for povm in meas_a]
     lhs = 0.0
     for weight, (i, j), event in zip(priors.values, pairs, events):
         if weight == 0.0:
             continue
+        # joint[k, l] = tr((E_ik (x) F_jl) rho)
+        joint = _traces(np.array(meas_b[j].effects), steered[i])
         for a_label, b_label in event:
-            joint = np.kron(meas_a[i].effect_for(a_label), meas_b[j].effect_for(b_label))
-            lhs += weight * float(np.trace(joint @ state.matrix).real)
+            k, l = _outcome_index(meas_a[i], a_label), _outcome_index(meas_b[j], b_label)
+            lhs += weight * float(joint[k, l])
     margin = lhs - bound.value
     return DetectionReport(
         criterion="entanglement_fine_grained",
@@ -239,11 +238,7 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
             raise DimensionMismatch(
                 "matching game needs Alice outcome counts equal to Bob's"
             )
-    bob_idx = []
-    for povm, label in zip(bob_meas, outcomes):
-        if str(label) not in povm.outcome_labels:
-            raise BadParameter(f"unknown outcome {label!r}; known labels {povm.outcome_labels}")
-        bob_idx.append(povm.outcome_labels.index(str(label)))
+    bob_idx = [_outcome_index(povm, label) for povm, label in zip(bob_meas, outcomes)]
 
     if not isinstance(bounds, Mapping):
         raise BadParameter("bounds must map every Bob outcome string to its bound")
@@ -260,12 +255,12 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     certified = all(b.certified for b in used)
     reports: list[DetectionReport] = []
     alice_label_sets = [asm.outcomes[asm.settings[i]] for i in range(m)]
-    # traces[a][b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
+    # traces[a, b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
     # scores[i][a] is setting i's matching score when Alice announces label a.
     scores = []
     for povm, b, setting, labels in zip(bob_meas, bob_idx, asm.settings, alice_label_sets):
-        traces = [[float(np.trace(e @ asm.elements[(setting, alpha)]).real) for e in povm.effects]
-                  for alpha in labels]
+        sigmas = np.array([asm.elements[(setting, alpha)] for alpha in labels])
+        traces = _traces(np.array(povm.effects), sigmas).tolist()
         scores.append([sum(traces[(a + t) % d][(b + t) % d] for t in range(d)) for a in range(d)])
     for alice_string in itertools.product(range(d), repeat=m):
         lhs = 0.0

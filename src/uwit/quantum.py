@@ -1,12 +1,13 @@
 """Small dense complex-matrix quantum mechanics.
 
 States and POVMs are plain numpy complex arrays wrapped in thin containers
-that validate their input once, when they are built.  A
-:class:`DensityStack` holds many states that are validated together, by the
-same checks as a single :class:`DensityState`, and ``born_stats`` measures
-either one.  An observable is the
-POVM of its merged eigenprojectors, carrying its matrix and eigenvalues, so
-it is validated by that same construction and serves wherever a POVM does.
+that validate their input once, when they are built, by one Hermitian/PSD
+check that assemblages share.  A :class:`DensityStack` holds many states that
+are validated together, and ``born_stats`` measures either one.  An
+observable is the POVM of its merged eigenprojectors, carrying its matrix and
+eigenvalues, so it serves wherever a POVM does.  This module owns the Born
+rule: every tr(E X) of the package (Born, joint and conditional statistics,
+steered operators, correlation tensors) is one of its two einsum contractions.
 Every matrix is limited to dimension ``MAX_DIM`` = 64, where a dense
 symmetric eigensolver is exact for all practical purposes; the named state
 and basis builders check that limit before they allocate.
@@ -44,7 +45,7 @@ PAULI_I = _frozen(np.eye(2, dtype=complex))
 PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
-_PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULIS = _frozen([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def _as_square_complex(m) -> np.ndarray:
@@ -62,23 +63,19 @@ def _check_dim(d: int) -> None:
         raise BadParameter(f"dimension {d} exceeds the supported maximum {MAX_DIM}")
 
 
-# _check_density works through a stack in chunks of at most this many
+# _check_hermitian_psd works through a stack in chunks of at most this many
 # matrix entries, so that its temporaries stay small next to the stack
 _CHECK_ENTRIES = 2**18
 
 
-def _check_density(a: np.ndarray) -> None:
-    """Raise unless every matrix over the trailing two axes of ``a`` is a density matrix.
+def _check_hermitian_psd(stack: np.ndarray, what: str) -> None:
+    """Raise unless every matrix over the trailing two axes is Hermitian and PSD.
 
-    Finite, Hermitian within ``HERM_TOL``, trace within ``TRACE_TOL`` of one,
-    and no eigenvalue below ``-PSD_TOL``, in that order of precedence.  The
-    Hermiticity and eigenvalue checks take the stack in chunks of at most
-    ``_CHECK_ENTRIES`` entries, one batched ``eigvalsh`` per chunk.
+    Hermitian within ``HERM_TOL`` (checked first) and no eigenvalue below
+    ``-PSD_TOL``, one batched ``eigvalsh`` per chunk of ``_CHECK_ENTRIES``.
     """
-    if not np.isfinite(a).all():
-        raise BadParameter("matrix entries must be finite")
-    d = a.shape[-1]
-    stack = a.reshape(-1, d, d)
+    d = stack.shape[-1]
+    stack = stack.reshape(-1, d, d)
     rows = max(1, _CHECK_ENTRIES // (d * d))
     deviation, wmin = 0.0, np.inf
     for start in range(0, len(stack), rows):
@@ -87,13 +84,35 @@ def _check_density(a: np.ndarray) -> None:
         deviation = max(deviation, np.abs(chunk - adjoint).max())
         wmin = min(wmin, np.linalg.eigvalsh((chunk + adjoint) / 2.0)[:, 0].min())
     if deviation > HERM_TOL:
-        raise NotHermitian("density matrix is not Hermitian within tolerance")
+        raise NotHermitian(f"{what} is not Hermitian within tolerance")
+    if wmin < -PSD_TOL:
+        raise BadParameter(f"{what} has negative eigenvalue {wmin:.3e}")
+
+
+def _check_density(a: np.ndarray) -> None:
+    """Raise unless every matrix is finite, Hermitian, PSD and of trace one, in that order."""
+    if not np.isfinite(a).all():
+        raise BadParameter("matrix entries must be finite")
+    _check_hermitian_psd(a, "density matrix")
     trace = a.trace(axis1=-2, axis2=-1)
     bad = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
     if bad.any():
         raise BadParameter(f"density matrix trace {trace[bad].flat[0]:.12f} is not 1")
-    if wmin < -PSD_TOL:
-        raise BadParameter(f"density matrix has negative eigenvalue {wmin:.3e}")
+
+
+def _traces(effects: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The Born rule: Re tr(E_k X) = sum_ij E_kij X_ji, an (..., n) array for (..., d, d) X."""
+    return np.einsum("kij,...ji->...k", effects, ops).real
+
+
+def _steered(effects_a: np.ndarray, state: DensityState) -> np.ndarray:
+    """Bob's operators tr_A((E_k (x) I) rho), one per Alice effect: an (n, db, db) stack.
+
+    Joint probabilities tr((E_k (x) F_l) rho) are ``_traces(F, _steered(E, state))``.
+    """
+    da, db = state.dims
+    # with r[a, b, c, d] = <a b| rho |c d>, element [b, d] is sum_ac E_k[a, c] r[c, b, a, d]
+    return np.einsum("kac,cbad->kbd", effects_a, state.matrix.reshape(da, db, da, db))
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -180,16 +199,15 @@ class Povm:
         d = effs[0].shape[0]
         if any(e.shape[0] != d for e in effs):
             raise DimensionMismatch("all effects must share one dimension")
+        labels = tuple(str(x) for x in self.outcome_labels)
+        if len(set(labels)) != len(labels):
+            raise BadParameter(f"POVM outcome labels must be distinct, got {labels}")
         stack = np.array(effs)
-        adjoint = stack.conj().swapaxes(1, 2)
-        if np.abs(stack - adjoint).max() > HERM_TOL:
-            raise NotHermitian("POVM effect is not Hermitian within tolerance")
-        if np.linalg.eigvalsh((stack + adjoint) / 2.0)[:, 0].min() < -PSD_TOL:
-            raise BadParameter("POVM effect has a negative eigenvalue beyond tolerance")
+        _check_hermitian_psd(stack, "POVM effect")
         if np.abs(stack.sum(axis=0) - np.eye(d)).max() > 1e-8:
             raise BadParameter("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", tuple(_frozen(e) for e in effs))
-        object.__setattr__(self, "outcome_labels", tuple(str(x) for x in self.outcome_labels))
+        object.__setattr__(self, "outcome_labels", labels)
 
     @property
     def dim(self) -> int:
@@ -211,12 +229,15 @@ class Povm:
         return b"".join(parts)
 
     def effect_for(self, label: str) -> np.ndarray:
-        try:
-            return self.effects[self.outcome_labels.index(str(label))]
-        except ValueError:
-            raise BadParameter(
-                f"unknown outcome {label!r}; known labels {self.outcome_labels}"
-            ) from None
+        return self.effects[_outcome_index(self, label)]
+
+
+def _outcome_index(povm: Povm, label: str) -> int:
+    try:
+        return povm.outcome_labels.index(str(label))
+    except ValueError:
+        known = povm.outcome_labels
+        raise BadParameter(f"unknown outcome {label!r}; known labels {known}") from None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -324,8 +345,7 @@ def born_stats(state: DensityState | DensityStack, meas: Povm) -> ProbVec | np.n
         )
     single = isinstance(state, DensityState)
     rho = state.matrix if single else state.matrices
-    # tr(E rho) = sum_ij E_ij rho_ji, for every effect and every state at once
-    probs = np.clip(np.einsum("kij,...ji->...k", np.array(meas.effects), rho).real, 0.0, None)
+    probs = np.clip(_traces(np.array(meas.effects), rho), 0.0, None)
     return ProbVec(probs) if single else normalized_rows(probs)
 
 
@@ -347,16 +367,13 @@ def product_observable_stats(state: DensityState, a: Observable, b: Observable) 
         raise DimensionMismatch(
             f"observables of dimension ({a.dim}, {b.dim}) do not fit factors {state.dims}"
         )
-    joint = [[max(float(np.trace(np.kron(proj_a, proj_b) @ state.matrix).real), 0.0)
-              for proj_b in b.effects] for proj_a in a.effects]
+    joint = np.clip(_traces(np.array(b.effects), _steered(np.array(a.effects), state)), 0.0, None)
     n = a.n_outcomes
     if b.n_outcomes != n:
-        return ProbVec([p for row in joint for p in row])
-    binned = [0.0] * n
-    for i, row in enumerate(joint):
-        for j, prob in enumerate(row):
-            binned[(i - j) % n] += prob
-    return ProbVec(binned)
+        return ProbVec(joint.ravel())
+    # bincount adds each bin's entries in row-major order
+    bins = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return ProbVec(np.bincount(bins.ravel(), weights=joint.ravel(), minlength=n))
 
 
 def partial_trace(state: DensityState, keep: str) -> DensityState:
@@ -476,11 +493,7 @@ def correlation_tensor(state: DensityState) -> np.ndarray:
     """Pauli correlation tensor T[mu, nu] = tr(sigma_mu (x) sigma_nu rho) of a two-qubit state."""
     if state.dims != (2, 2):
         raise DimensionMismatch("correlation tensor is defined for two-qubit states")
-    t = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            t[mu, nu] = float(np.trace(np.kron(_PAULIS[mu], _PAULIS[nu]) @ state.matrix).real)
-    return t
+    return _traces(_PAULIS, _steered(_PAULIS, state))
 
 
 def state_from_correlation_tensor(t: np.ndarray) -> DensityState:
@@ -488,10 +501,8 @@ def state_from_correlation_tensor(t: np.ndarray) -> DensityState:
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4):
         raise DimensionMismatch("correlation tensor must be 4 x 4")
-    m = np.zeros((4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(4):
-            m += t[mu, nu] * np.kron(_PAULIS[mu], _PAULIS[nu])
+    # sum_{mu nu} t[mu, nu] sigma_mu (x) sigma_nu, laid out as [a, b, a', b']
+    m = np.einsum("mn,mac,nbd->abcd", t, _PAULIS, _PAULIS).reshape(4, 4)
     return DensityState(m / 4.0, dims=(2, 2))
 
 
@@ -506,14 +517,18 @@ def random_pure_state(d: int, rng: np.random.Generator,
     return DensityState(projector(random_ket(d, rng)), dims=dims)
 
 
+def _random_mixed_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    m = random_ket(d * d, rng).reshape(d, d)
+    return m @ m.conj().T
+
+
 def random_mixed_state(d: int, rng: np.random.Generator,
                        dims: tuple[int, int] | None = None) -> DensityState:
     """Random mixed state: partial trace of a random pure state on a doubled space.
 
     With the ket reshaped to a d x d matrix M, the reduced state is M M^dagger.
     """
-    m = random_ket(d * d, rng).reshape(d, d)
-    return DensityState(m @ m.conj().T, dims=dims)
+    return DensityState(_random_mixed_matrix(d, rng), dims=dims)
 
 
 def random_product_state(da: int, db: int, rng: np.random.Generator) -> DensityState:
@@ -522,13 +537,13 @@ def random_product_state(da: int, db: int, rng: np.random.Generator) -> DensityS
 
 def random_separable_state(da: int, db: int, rng: np.random.Generator,
                            max_terms: int = 16) -> DensityState:
-    """Random convex mixture of up to ``max_terms`` random product states."""
+    """Random convex mixture of up to ``max_terms`` random product states, validated once."""
     n = int(rng.integers(1, max_terms + 1))
     weights = rng.exponential(size=n)
     weights /= weights.sum()
     m = np.zeros((da * db, da * db), dtype=complex)
     for w in weights:
-        m += w * random_product_state(da, db, rng).matrix
+        m += w * np.kron(_random_mixed_matrix(da, rng), _random_mixed_matrix(db, rng))
     return DensityState(m, dims=(da, db))
 
 

@@ -168,6 +168,15 @@ class TestValidation:
         with pytest.raises(BadParameter):
             Assemblage(elements, (0, 1), {0: ("0", "1"), 1: ("0", "1")}, 2)
 
+    def test_repeated_outcome_rejected(self):
+        # one element listed twice sums to a unit-trace reduced state
+        elements = {(0, "0"): np.eye(2, dtype=complex) / 4}
+        with pytest.raises(BadParameter, match="distinct"):
+            Assemblage(elements, (0,), {0: ("0", "0")}, 2)
+        entry = {"setting": 0, "outcome": "0", "operator": matrix_to_json(np.eye(2) / 4)}
+        with pytest.raises(BadParameter, match="distinct"):
+            assemblage_from_config({"bob_dim": 2, "settings": [0], "elements": [entry, entry]})
+
     def test_negative_element_rejected(self):
         elements = {
             (0, "0"): np.diag([0.75, -0.25]).astype(complex),

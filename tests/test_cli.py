@@ -411,6 +411,40 @@ class TestErrors:
         )
         assert main([path]) == 1
 
+    def test_repeated_povm_labels_are_an_error(self, tmp_path, capsys):
+        # both effects of Bob's first POVM are labelled "a".  Read as one
+        # label, the bound map held 2 of the 4 outcome strings (bound 0.8113)
+        # and this LHS assemblage, at the witness of a dropped string
+        # (0.8613), was certified as steering.
+        first = np.diag([0.9, 0.0])
+        plus = (np.eye(2) + np.array([[0.0, 1.0], [1.0, 0.0]])) / 2
+        witness = np.linalg.eigh((np.eye(2) - first + plus) / 2)[1][:, -1]
+        asm = lhs_assemblage([(1.0, DensityState(projector(witness)))], [[[1.0, 0.0]] * 2])
+        bob = [
+            {"effects": [matrix_to_json(e), matrix_to_json(np.eye(2) - e)], "labels": labels}
+            for e, labels in ((first, ["a", "a"]), (plus, ["a", "b"]))
+        ]
+        config = {
+            "scenario_kind": "steering",
+            "flavor": "fine_grained",
+            "assemblage": assemblage_to_config(asm),
+            "measurements": {"bob": bob},
+            "outcomes": ["a", "a"],
+        }
+        assert main([write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("x, y", [(XZ + ["pauli_y"], XZ), (XZ, XZ + ["pauli_y"])])
+    def test_fine_grained_entanglement_default_priors(self, tmp_path, x, y):
+        # uniform over the min(len(x), len(y)) matched pairs, in either orientation
+        config = mutated(CONFIGS["fine_grained_entanglement"], ("measurements",), {"x": x, "y": y})
+        json_path = tmp_path / "report.json"
+        path = write_config(tmp_path, config)
+        assert run(path, json_path=str(json_path), quiet=True, restarts=16) == 2
+        report = json.loads(json_path.read_text())["reports"][0]
+        assert report["lhs_value"] == pytest.approx(1.0, abs=1e-12)
+
     def test_unknown_outcome_label_scan(self, tmp_path):
         path = write_config(tmp_path, fine_grained_scan_config(["+", "2"]))
         assert main([path]) == 1
@@ -499,6 +533,13 @@ MALFORMED = {
         "assemblage", ("assemblage",), {"bob_dim": 2, "settings": [0], "elements": [
             {"setting": 0, "outcome": label, "operator": matrix_to_json(np.array(m))}
             for label, m in (("0", [[0.5, 0.3], [-0.3, 0.0]]), ("1", [[0.0, -0.3], [0.3, 0.5]]))
+        ]}
+    ),
+    # setting 0 lists outcome "0" twice; read once, its element counted twice
+    "repeated-assemblage-outcome": (
+        "assemblage", ("assemblage",), {"bob_dim": 2, "settings": [0, 1], "elements": [
+            {"setting": setting, "outcome": label, "operator": matrix_to_json(np.eye(2) / 4)}
+            for setting, label in ((0, "0"), (0, "0"), (1, "0"), (1, "1"))
         ]}
     ),
     "outcome-strings-of-unequal-length": (

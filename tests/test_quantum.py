@@ -15,6 +15,7 @@ from uwit import (
     bell_phi_plus,
     bloch_observable,
     born_stats,
+    conditional_stats,
     correlation_tensor,
     eig_hermitian,
     fingerprint_povms,
@@ -29,6 +30,7 @@ from uwit import (
     product_observable_stats,
     schmidt_observables,
     state_from_correlation_tensor,
+    steer,
     von_neumann_entropy,
     werner,
 )
@@ -43,6 +45,7 @@ from uwit.quantum import (
     random_ket,
     random_mixed_state,
     random_product_state,
+    random_separable_state,
 )
 
 SX = pauli_observable("x")
@@ -105,6 +108,89 @@ class TestEig:
             assert np.max(np.abs(rebuilt - h)) < 1e-8
             total = sum(obs.effects)
             assert np.max(np.abs(total - np.eye(d))) < 1e-9
+
+
+def random_povm(d, n, rng):
+    """n full-rank effects S^(-1/2) G_k S^(-1/2) with S = sum_k G_k: a non-projective POVM."""
+    gs = [a @ a.conj().T for a in rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))]
+    w, v = np.linalg.eigh(sum(gs))
+    root = v @ np.diag(w ** -0.5) @ v.conj().T
+    effects = [root @ g @ root for g in gs]
+    return Povm(tuple((e + e.conj().T) / 2 for e in effects), tuple(str(k) for k in range(n)))
+
+
+def random_observable(d, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return observable_from_matrix(q @ np.diag(rng.normal(size=d)) @ q.conj().T)
+
+
+def kron_joint_reference(state, povm_a, povm_b):
+    """tr((E (x) F) rho), one effect pair at a time."""
+    return np.array([[np.trace(np.kron(e, f) @ state.matrix).real for f in povm_b.effects]
+                     for e in povm_a.effects])
+
+
+FACTORS = [(2, 2), (3, 3), (2, 3)]
+
+
+class TestBornRuleKernel:
+    """The einsum contractions against the np.kron / np.trace formulas they replaced."""
+
+    @pytest.mark.parametrize("da, db", FACTORS)
+    def test_joint_statistics(self, da, db):
+        rng = np.random.default_rng(90 + da * db)
+        for _ in range(10):
+            state = random_mixed_state(da * db, rng, dims=(da, db))
+            a, b = random_povm(da, 3, rng), random_povm(db, 4, rng)
+            steered = quantum._steered(np.array(a.effects), state)
+            joint = quantum._traces(np.array(b.effects), steered)
+            assert np.max(np.abs(joint - kron_joint_reference(state, a, b))) < 1e-12
+
+    @pytest.mark.parametrize("da, db", FACTORS + [(3, 2)])
+    def test_binned_product_stats(self, da, db):
+        rng = np.random.default_rng(100 + da * db)
+        for _ in range(10):
+            state = random_mixed_state(da * db, rng, dims=(da, db))
+            a, b = random_observable(da, rng), random_observable(db, rng)
+            joint = np.clip(kron_joint_reference(state, a, b), 0.0, None)
+            if da == db:
+                want = [0.0] * da
+                for i, row in enumerate(joint):
+                    for j, prob in enumerate(row):
+                        want[(i - j) % da] += prob
+            else:
+                want = joint.ravel()
+            stats = product_observable_stats(state, a, b).values
+            assert np.max(np.abs(stats - np.asarray(want) / np.sum(want))) < 1e-12
+
+    @pytest.mark.parametrize("da, db", FACTORS)
+    def test_steered_elements(self, da, db):
+        rng = np.random.default_rng(110 + da * db)
+        for _ in range(10):
+            state = random_mixed_state(da * db, rng, dims=(da, db))
+            alice = [random_povm(da, n, rng) for n in (2, 3)]
+            asm = steer(state, alice)
+            for setting, povm in enumerate(alice):
+                for label, effect in zip(povm.outcome_labels, povm.effects):
+                    big = np.kron(effect, np.eye(db)) @ state.matrix
+                    want = np.einsum("ijil->jl", big.reshape(da, db, da, db))
+                    assert np.max(np.abs(asm.element(setting, label) - want)) < 1e-12
+
+    @pytest.mark.parametrize("da, db", FACTORS)
+    def test_conditional_statistics(self, da, db):
+        rng = np.random.default_rng(120 + da * db)
+        for _ in range(10):
+            state = random_mixed_state(da * db, rng, dims=(da, db))
+            asm = steer(state, [random_povm(da, 3, rng)])
+            bob = random_povm(db, 4, rng)
+            cond = conditional_stats(asm, 0, bob)
+            assert not cond.omitted
+            for outcome, (weight, dist) in cond.entries.items():
+                op = asm.element(0, outcome)
+                probs = np.array([np.trace(e @ op).real for e in bob.effects])
+                assert weight == pytest.approx(np.trace(op).real, abs=1e-12)
+                want = np.clip(probs, 0.0, None) / np.clip(probs, 0.0, None).sum()
+                assert np.max(np.abs(dist.values - want)) < 1e-12
 
 
 class TestBornRule:
@@ -338,6 +424,10 @@ class TestFamilies:
     def test_povm_validation(self):
         with pytest.raises(BadParameter):
             Povm((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), ("a", "b"))
+        # labels are compared after str(); a repeated one hid the second effect
+        for labels in (("a", "a"), (1, "1")):
+            with pytest.raises(BadParameter, match="distinct"):
+                Povm((np.diag([0.9, 0.0]), np.diag([0.1, 1.0])), labels)
         with pytest.raises(BadParameter):
             Povm((np.eye(MAX_DIM + 1),), ("1",))
 
@@ -481,9 +571,16 @@ class TestCorrelationTensor:
 
     def test_round_trip(self):
         rng = np.random.default_rng(37)
+        paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
         for _ in range(50):
             state = random_mixed_state(4, rng, dims=(2, 2))
-            rebuilt = state_from_correlation_tensor(correlation_tensor(state))
+            t = correlation_tensor(state)
+            want = [[np.trace(np.kron(p, q) @ state.matrix).real for q in paulis] for p in paulis]
+            assert np.max(np.abs(t - want)) < 1e-12
+            rebuilt = state_from_correlation_tensor(t)
+            want = sum(t[mu, nu] * np.kron(p, q) for mu, p in enumerate(paulis)
+                       for nu, q in enumerate(paulis)) / 4
+            assert np.max(np.abs(rebuilt.matrix - want)) < 1e-12
             assert np.max(np.abs(rebuilt.matrix - state.matrix)) < 1e-8
 
 
@@ -497,6 +594,20 @@ class TestSamplersAndSchmidt:
             reduced = partial_trace(DensityState(projector(ket), dims=(d, d)), "A")
             assert np.max(np.abs(state.matrix - reduced.matrix)) < 1e-12
             assert state.dims == dims
+
+    def test_random_separable_state_matches_mixture_of_product_states(self):
+        # the mixture is built from raw factor matrices in the order
+        # random_product_state draws them, and validated once at the end
+        for da, db, seed in ((2, 2, 0), (2, 3, 1), (3, 3, 2)):
+            state = random_separable_state(da, db, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 17))
+            weights = rng.exponential(size=n)
+            weights /= weights.sum()
+            want = np.zeros((da * db, da * db), dtype=complex)
+            for w in weights:
+                want += w * random_product_state(da, db, rng).matrix
+            assert np.array_equal(state.matrix, want) and state.dims == (da, db)
 
     def test_random_states_valid(self):
         rng = np.random.default_rng(38)
