@@ -4,23 +4,24 @@ Two bound families are computed here:
 
 * Majorization bound vectors omega for a measurement set, such that the
   tensor product of the measurement statistics of every state is majorized
-  by omega.  For two nondegenerate observables of one dimension d each
-  top-k entry has the closed form ((1 + s_k)/2)^2 of Puchala, Rudnicki and
+  by omega.  For two nondegenerate observables of one dimension d each top-k
+  entry has the closed form ((1 + s_k)/2)^2 of Puchala, Rudnicki and
   Zyczkowski, with s_k the largest norm of a block of the eigenbasis
-  overlaps.  It is used at every k whose blocks can be enumerated within
-  budget, and a witness state attains it wherever a 1 x k or k x 1 block
-  reaches s_k, which is every k when d <= 3 (``omega_two_bases``;
-  ``omega_two_dichotomic`` is its d = 2 case).  Every other top-k entry is
-  obtained by maximizing the sum of the k largest tensor statistics over
-  pure states with multi-restart projected gradient ascent.  All
-  restarts advance together as one (R, d) stack of kets: each iteration
-  builds every row's gradient operator at once, takes the eigenvector jumps
-  with one batched ``eigh`` and runs every row's line search as one batch.
-  Each row stops once an iteration gains less than ``STEP_TOL``, or once
-  it cannot reach the best value of any restart so far even if it kept its
-  last gain for every remaining iteration.  One batched kernel
-  (``tensor_stats`` and ``topk_sums``) evaluates those statistics for the
-  ascent and for the brute-force maximizers in ``oracle``.
+  overlaps, exact where the blocks can be enumerated within budget and
+  capped by Frobenius norms elsewhere, so every entry is proven; a witness
+  state attains it wherever a 1 x k or k x 1 block reaches s_k, which is
+  every k when d <= 3 (``omega_two_bases``; ``omega_two_dichotomic`` is its
+  d = 2 case).  For more measurements each top-k entry is obtained by
+  maximizing the sum of the k largest tensor statistics over pure states
+  with multi-restart projected gradient ascent.  All restarts advance
+  together as one (R, d) stack of kets: each iteration builds every row's
+  gradient operator at once, takes the eigenvector jumps with one batched
+  ``eigh`` and runs every row's line search as one batch.  Each row stops
+  once an iteration gains less than ``STEP_TOL``, or once it cannot reach
+  the best value of any restart so far even if it kept its last gain for
+  every remaining iteration.  One batched kernel (``tensor_stats`` and
+  ``topk_sums``) evaluates those statistics for the ascent and for the
+  brute-force maximizers in ``oracle``.
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
@@ -51,7 +52,8 @@ from .errors import (
     NoConvergence,
 )
 from .probvec import ProbVec, tensor_rows
-from .quantum import DensityState, Observable, Povm, _traces, random_ket, von_neumann_entropy
+from .quantum import DensityState, Observable, Povm, _outcome_index, _traces, random_ket
+from .quantum import von_neumann_entropy
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
@@ -356,16 +358,28 @@ def _unit_kets(effects: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2**20
 
 
+def _top_sums(weight: np.ndarray) -> np.ndarray:
+    """[r - 1, c - 1]: the sum of the c largest entries of a row, over the r best rows."""
+    rows = np.sort(weight, axis=1)[:, ::-1].cumsum(axis=1)
+    return np.sort(rows, axis=0)[::-1].cumsum(axis=0)
+
+
 def _block_norms(u: np.ndarray, k: int) -> float:
     """Largest spectral norm of an r x c block of ``u`` with r + c = k + 1 and r, c >= 2.
 
-    Returns -inf when no such block exists and inf when enumerating the
-    blocks would exceed ``_BLOCK_ENTRIES`` entries.
+    Returns -inf when no such block exists.  Where enumerating the blocks
+    would exceed ``_BLOCK_ENTRIES`` entries it returns a proven cap: a
+    block's norm is at most 1 (``u`` is unitary) and at most its Frobenius
+    norm, whose square is at most the :func:`_top_sums` of |u|^2 and of its
+    transpose.
     """
     d = len(u)
     shapes = [(r, k + 1 - r) for r in range(2, k) if k + 1 - r <= d and r <= d]
     if sum(math.comb(d, r) * math.comb(d, c) * r * c for r, c in shapes) > _BLOCK_ENTRIES:
-        return np.inf
+        weight = np.abs(u) ** 2
+        by_row, by_col = _top_sums(weight), _top_sums(weight.T)
+        return math.sqrt(max(min(1.0, by_row[r - 1, c - 1], by_col[c - 1, r - 1])
+                             for r, c in shapes))
     best = -np.inf
     for r, c in shapes:
         rows = np.array(list(itertools.combinations(range(d), r)))
@@ -380,7 +394,8 @@ def _overlap_norms(x: Observable, y: Observable) -> tuple[np.ndarray, np.ndarray
 
     With U_ij = <a_i|b_j>, returns s_line, the largest norm of a 1 x k or
     k x 1 block, and s_rest, that of an r x c block with r + c = k + 1 and
-    r, c >= 2 (see :func:`_block_norms`).  Every state's top-k
+    r, c >= 2, or a proven cap on it where those blocks are too many to
+    enumerate (see :func:`_block_norms`).  Every state's top-k
     tensor-statistic sum is at most ((1 + max(s_line, s_rest))/2)^2
     (Puchala, Rudnicki and Zyczkowski, J. Phys. A 46, 272002 (2013)).  A
     line block is attained: for a row i of U and the k columns C of its
@@ -399,18 +414,14 @@ def _overlap_norms(x: Observable, y: Observable) -> tuple[np.ndarray, np.ndarray
     return s_line, np.array([_block_norms(u, k) for k in range(1, d)])
 
 
-def omega_two_bases(x: Observable, y: Observable, restarts: int = 64,
-                    seed: int = 0) -> BoundVector:
+def omega_two_bases(x: Observable, y: Observable) -> BoundVector:
     """Majorization bound for two nondegenerate observables of one dimension d.
 
-    Each k < d whose blocks fit ``_BLOCK_ENTRIES`` takes the closed form of
-    :func:`_overlap_norms` plus half of ``CLOSED_FORM_MARGIN``.  Where a
-    line block reaches s_k, as it does for every k when d <= 3, that puts
-    the entry between the value of its witness state and that value plus
-    the margin; elsewhere it is a proven bound above every state's value.
-    Any other k runs the restart ascent of ``omega_numeric`` with the same
-    seeds; its entry is the larger of the ascent and line witness values
-    plus ``NUMERIC_SLACK``.
+    Each k < d takes the closed form of :func:`_overlap_norms` plus half of
+    ``CLOSED_FORM_MARGIN``, a proven bound above every state's value.
+    Where a line block reaches s_k, as it does for every k when d <= 3,
+    that puts the entry between the value of its witness state and that
+    value plus the margin.
     """
     if not all(isinstance(m, Observable) and m.nondegenerate for m in (x, y)):
         raise Degenerate("observables must have nondegenerate spectra")
@@ -419,22 +430,11 @@ def omega_two_bases(x: Observable, y: Observable, restarts: int = 64,
     d = x.dim
     s_line, s_rest = _overlap_norms(x, y)
     cumulative = (1.0 + np.maximum(s_line, s_rest)) ** 2 / 4.0 + CLOSED_FORM_MARGIN / 2.0
-    method, slack = (ANALYTIC_TWO_DICHOTOMIC if d == 2 else ANALYTIC_TWO_BASES), 0.0
-    over = [k for k in range(1, d) if s_rest[k - 1] == np.inf]
-    if over:
-        if restarts < 1:
-            raise BadParameter("at least one restart is required")
-        method, slack = NUMERIC_TOPK, NUMERIC_SLACK
-        witness = (1.0 + s_line) ** 2 / 4.0
-        seeds = np.random.SeedSequence(seed).spawn(d - 1)
-        for k in over:
-            ascent = _max_topk([x, y], k, restarts, seeds[k - 1])
-            cumulative[k - 1] = max(ascent, witness[k - 1]) + NUMERIC_SLACK
     return BoundVector(
         omega=_omega_from_cumulative(cumulative, d * d),
-        method=method,
+        method=ANALYTIC_TWO_DICHOTOMIC if d == 2 else ANALYTIC_TWO_BASES,
         measurement_fingerprint=fingerprint_povms([x, y]),
-        certified_slack=slack,
+        certified_slack=0.0,
     )
 
 
@@ -540,6 +540,21 @@ def _pair_events(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
     return events
 
 
+def _fine_grained_terms(meas_a: Sequence[Povm], meas_b: Sequence[Povm], events,
+                        priors: ProbVec):
+    """(weight, i, j, k, l) per outcome pair (k, l) of the events of each setting pair (i, j).
+
+    ``events`` come from :func:`_pair_events`; pairs of zero weight are skipped.
+    """
+    pairs = setting_pairs(len(meas_a), len(meas_b))
+    for weight, (i, j), event in zip(priors.values, pairs, events):
+        if weight == 0.0:
+            continue
+        for a_label, b_label in event:
+            k, l = _outcome_index(meas_a[i], a_label), _outcome_index(meas_b[j], b_label)
+            yield weight, i, j, k, l
+
+
 def matched_outcome_events(povm_a: Povm, povm_b: Povm) -> list[tuple[str, str]]:
     """The equal-label correlation event for one setting pair."""
     if povm_a.n_outcomes != povm_b.n_outcomes:
@@ -603,13 +618,10 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
         raise DimensionMismatch(f"priors must cover all {len(pairs)} setting pairs")
     events = _pair_events(meas_a, meas_b, outcomes)
     weights, effects_a, effects_b = [], [], []
-    for weight, (i, j), event in zip(priors.values, pairs, events):
-        if weight == 0.0:
-            continue
-        for a_label, b_label in event:
-            weights.append(float(weight))
-            effects_a.append(meas_a[i].effect_for(a_label))
-            effects_b.append(meas_b[j].effect_for(b_label))
+    for weight, i, j, k, l in _fine_grained_terms(meas_a, meas_b, events, priors):
+        weights.append(float(weight))
+        effects_a.append(meas_a[i].effects[k])
+        effects_b.append(meas_b[j].effects[l])
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
     u0, v0 = (np.array(kets) for kets in zip(*((random_ket(da, rng), random_ket(db, rng))
                                                 for rng in rngs)))

@@ -190,7 +190,7 @@ def _bound(meas, restarts: int, seed: int) -> BoundVector:
     if len(meas) == 2 and meas[0].dim == meas[1].dim and all(
         isinstance(m, Observable) and m.nondegenerate for m in meas
     ):
-        return omega_two_bases(*meas, restarts=restarts, seed=seed)
+        return omega_two_bases(*meas)
     return omega_numeric(meas, restarts=restarts, seed=seed)
 
 

@@ -22,6 +22,7 @@ all of Bob's outcome strings, whatever the column or the configured string.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -32,11 +33,11 @@ from .assemblage import Assemblage, conditional_stats
 from .bounds import (
     BoundVector,
     FineGrainedBound,
+    _fine_grained_terms,
     _pair_events,
     fine_grained_bound_map,
     fingerprint_povms,
     outcome_string_fingerprints,
-    setting_pairs,
 )
 from .errors import (
     BadParameter,
@@ -173,17 +174,12 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
         raise FingerprintMismatch(
             "bound was not generated from these measurements, outcomes and priors"
         )
-    pairs = setting_pairs(len(meas_a), len(meas_b))
     steered = [_steered(np.array(povm.effects), state) for povm in meas_a]
+    # joint(i, j)[k, l] = tr((E_ik (x) F_jl) rho), one table per setting pair
+    joint = functools.cache(lambda i, j: _traces(np.array(meas_b[j].effects), steered[i]))
     lhs = 0.0
-    for weight, (i, j), event in zip(priors.values, pairs, events):
-        if weight == 0.0:
-            continue
-        # joint[k, l] = tr((E_ik (x) F_jl) rho)
-        joint = _traces(np.array(meas_b[j].effects), steered[i])
-        for a_label, b_label in event:
-            k, l = _outcome_index(meas_a[i], a_label), _outcome_index(meas_b[j], b_label)
-            lhs += weight * float(joint[k, l])
+    for weight, i, j, k, l in _fine_grained_terms(meas_a, meas_b, events, priors):
+        lhs += weight * float(joint(i, j)[k, l])
     margin = lhs - bound.value
     return DetectionReport(
         criterion="entanglement_fine_grained",

@@ -245,8 +245,9 @@ class Observable(Povm):
     """A Hermitian observable: the POVM of its merged eigenprojectors.
 
     ``effects`` are the eigenprojectors in order of descending eigenvalue;
-    outcome labels default to the eigenvalues.  The projectors are validated
-    as a POVM once, on construction, and the matrix must equal the sum of
+    outcome labels default to the eigenvalues to 12 significant digits, or
+    in full where two agree in those.  The projectors are validated as a
+    POVM once, on construction, and the matrix must equal the sum of
     eigenvalue times projector within ``SPECTRAL_TOL`` (relative to the
     largest eigenvalue magnitude, when that exceeds 1).  The matrix is kept
     as a read-only copy.
@@ -258,8 +259,10 @@ class Observable(Povm):
     def __init__(self, matrix, eigenvalues, effects, outcome_labels=()):
         eigenvalues = tuple(eigenvalues)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        labels = tuple(outcome_labels) or tuple(f"{ev:.12g}" for ev in eigenvalues)
-        super().__init__(effects, labels)
+        default = tuple(f"{ev:.12g}" for ev in eigenvalues)
+        if len(set(default)) < len(default):
+            default = tuple(repr(float(ev)) for ev in eigenvalues)
+        super().__init__(effects, tuple(outcome_labels) or default)
         m = _as_square_complex(matrix)
         if m.shape[0] != self.dim or len(eigenvalues) != self.n_outcomes:
             raise DimensionMismatch(
@@ -471,22 +474,18 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
         # Pauli z, x, y eigenbases, labeled by basis-vector index.
         return tuple(_pauli(axis, ("0", "1")) for axis in "zxy"[:m])
     omega = np.exp(2j * np.pi / d)
-    eigenvalues = tuple(float(x) for x in range(d - 1, -1, -1))
-    bases: list[Observable] = []
-    comp = tuple(projector(np.eye(d)[:, j]) for j in range(d))
-    matrix = sum(ev * p for ev, p in zip(eigenvalues, comp))
-    bases.append(Observable(matrix, eigenvalues, comp, tuple(str(j) for j in range(d))))
-    for k in range(d):
-        projs = []
-        for j in range(d):
-            ls = np.arange(d)
-            vec = omega ** ((k * ls * ls + j * ls) % d) / np.sqrt(d)
-            projs.append(projector(vec))
-        matrix = sum(ev * p for ev, p in zip(eigenvalues, projs))
-        bases.append(Observable(matrix, eigenvalues, tuple(projs), tuple(str(j) for j in range(d))))
-        if len(bases) == m:
-            break
-    return tuple(bases[:m])
+    ls = np.arange(d)
+    weyl = [[omega ** ((k * ls * ls + j * ls) % d) / np.sqrt(d) for j in range(d)]
+            for k in range(m - 1)]
+    return tuple(_basis_observable(vectors) for vectors in [np.eye(d).T, *weyl])
+
+
+def _basis_observable(vectors) -> Observable:
+    """Observable of basis ``vectors`` with eigenvalues d - 1, ..., 0 labelled "0", ..."""
+    projs = tuple(projector(v) for v in vectors)
+    eigenvalues = tuple(float(x) for x in range(len(projs) - 1, -1, -1))
+    matrix = sum(ev * p for ev, p in zip(eigenvalues, projs))
+    return Observable(matrix, eigenvalues, projs, tuple(str(j) for j in range(len(projs))))
 
 
 def correlation_tensor(state: DensityState) -> np.ndarray:
@@ -572,18 +571,11 @@ def schmidt_observables(ket: np.ndarray, dims: tuple[int, int]):
     omega = np.exp(2j * np.pi / d)
     basis_a = [u[:, i] for i in range(d)]
     basis_b = [vh[i, :] for i in range(d)]
-    eigenvalues = tuple(float(x) for x in range(d - 1, -1, -1))
-    labels = tuple(str(i) for i in range(d))
-
-    def make(vectors) -> Observable:
-        projs = tuple(projector(v) for v in vectors)
-        matrix = sum(ev * p for ev, p in zip(eigenvalues, projs))
-        return Observable(matrix, eigenvalues, projs, labels)
-
     fourier_a = [
         sum(omega ** (i * k) * basis_a[i] for i in range(d)) / np.sqrt(d) for k in range(d)
     ]
     fourier_b = [
         sum(omega ** (-i * k) * basis_b[i] for i in range(d)) / np.sqrt(d) for k in range(d)
     ]
-    return ([make(basis_a), make(fourier_a)], [make(basis_b), make(fourier_b)])
+    return ([_basis_observable(basis_a), _basis_observable(fourier_a)],
+            [_basis_observable(basis_b), _basis_observable(fourier_b)])

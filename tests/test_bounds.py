@@ -42,7 +42,6 @@ from uwit.bounds import (
     ANALYTIC_TWO_DICHOTOMIC,
     CLOSED_FORM_MARGIN,
     NUMERIC_SLACK,
-    NUMERIC_TOPK,
     _alternate,
     _ascend_topk,
     _concave_majorant_increments,
@@ -191,11 +190,15 @@ class TestOmegaTwoBases:
                 entry = closed + CLOSED_FORM_MARGIN / 2.0
                 assert np.all(witness <= entry)
                 assert np.all(entry[exact] <= witness[exact] + CLOSED_FORM_MARGIN)
-                top = top_sums(omega_two_bases(x, y, restarts=0), d)
+                top = top_sums(omega_two_bases(x, y), d)
                 assert np.all(top >= witness)
                 if d <= 3:
                     # no concave repair: every entry is its closed form
                     assert np.all(top <= witness + CLOSED_FORM_MARGIN)
+        for d in (10, 16):
+            # k >= 7 (d = 10) and k >= 5 (d = 16) take the capped block norms
+            x, y = gue_observable(d, rng), gue_observable(d, rng)
+            assert np.all(top_sums(omega_two_bases(x, y), d) >= line_witness_values(x, y))
 
     @pytest.mark.parametrize("d", [8, 16, 32, 64])
     def test_line_closed_form_within_margin_of_its_witness(self, d):
@@ -211,7 +214,7 @@ class TestOmegaTwoBases:
         for d in (2, 3, 4, 5):
             for trial in range(4):
                 x, y = gue_observable(d, rng), gue_observable(d, rng)
-                top = top_sums(omega_two_bases(x, y, restarts=8), d)
+                top = top_sums(omega_two_bases(x, y), d)
                 for k in range(1, d):
                     assert top[k - 1] >= _max_topk([x, y], k, 8, np.random.SeedSequence(trial))
                     if d <= 3:
@@ -246,28 +249,47 @@ class TestOmegaTwoBases:
             closed, exact = closed_form(x, y)
             if not exact.all():
                 break
-        bound = omega_two_bases(x, y, restarts=0)
+        bound = omega_two_bases(x, y)
         assert bound.method == ANALYTIC_TWO_BASES and bound.certified
         top = top_sums(bound, 4)
         assert np.all(top >= closed)
         assert top[2] >= _max_topk([x, y], 3, 64, np.random.SeedSequence(0))
         assert top[2] >= line_witness_values(x, y)[2]
 
-    def test_blocks_over_budget_run_the_ascent(self, monkeypatch):
+    def test_blocks_over_budget_take_a_proven_cap(self, monkeypatch):
         # at d = 4 and k = 3 the 2 x 2 blocks number 36, with 144 entries
         rng = np.random.default_rng(52)
         x, y = gue_observable(4, rng), gue_observable(4, rng)
-        assert omega_two_bases(x, y, restarts=0).method == ANALYTIC_TWO_BASES
+        exact = top_sums(omega_two_bases(x, y), 4)
         monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 143)
-        s_line, s_rest = _overlap_norms(x, y)
-        assert list(s_rest) == [-np.inf, -np.inf, np.inf]
-        bound = omega_two_bases(x, y, restarts=4, seed=3)
-        assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
-        ascent = _max_topk([x, y], 3, 4, np.random.SeedSequence(3).spawn(3)[2])
-        witness = ((1.0 + s_line[2]) / 2.0) ** 2
-        assert top_sums(bound, 4)[2] >= max(ascent, witness) + NUMERIC_SLACK - 1e-15
-        with pytest.raises(BadParameter):
-            omega_two_bases(x, y, restarts=0)
+        s_rest = _overlap_norms(x, y)[1]
+        assert list(s_rest[:2]) == [-np.inf, -np.inf] and s_rest[2] <= 1.0
+        bound = omega_two_bases(x, y)
+        assert bound.method == ANALYTIC_TWO_BASES and bound.certified_slack == 0.0
+        top = top_sums(bound, 4)
+        assert top[2] >= exact[2]
+        assert top[2] >= _max_topk([x, y], 3, 64, np.random.SeedSequence(3))
+        assert top[2] >= line_witness_values(x, y)[2]
+
+    @pytest.mark.parametrize("d", [5, 6, 8])
+    def test_block_norm_cap_is_at_least_the_exact_norm(self, d, monkeypatch):
+        rng = np.random.default_rng([54, d])
+        for _ in range(5):
+            x, y = gue_observable(d, rng), gue_observable(d, rng)
+            exact = _overlap_norms(x, y)[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_BLOCK_ENTRIES", 0)
+                capped = _overlap_norms(x, y)[1]
+            assert np.all(capped >= exact) and np.all(capped[2:] <= 1.0)
+
+    @pytest.mark.parametrize("d", [4, 10, 16, 64])
+    def test_two_bases_run_no_ascent(self, d, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "_max_topk", lambda *args: calls.append(args))
+        rng = np.random.default_rng([55, d])
+        bound = cli._bound([gue_observable(d, rng), gue_observable(d, rng)], 64, 0)
+        assert not calls
+        assert bound.method == ANALYTIC_TWO_BASES and bound.certified_slack == 0.0
 
     def test_rejects_what_has_no_closed_form(self):
         with pytest.raises(Degenerate):

@@ -352,6 +352,57 @@ class TestScenarios:
         assert run(write_config(tmp_path, CONFIGS["isotropic_scan"]), quiet=True) == 0
 
 
+# isotropic qutrit steering with the two-basis closed form at d = 3, and the
+# threshold each quantifier bisects to
+ISOTROPIC_STEERING = {
+    "scenario_kind": "scan",
+    "measurements": {"alice": "mub:3:2", "bob": "mub:3:2"},
+    "scan": {
+        "family": "isotropic:3",
+        "criterion": "steering_universal",
+        "grid": {"start": 0.0, "stop": 1.0, "step": 0.05},
+        "bisect_tol": 1e-3,
+    },
+}
+BOUNDARY_SCANS = {
+    **SCANS,
+    "isotropic_scan": (CONFIGS["isotropic_scan"], None),
+    **{f"isotropic_steering_{q}": ({**ISOTROPIC_STEERING, "quantifier": q}, threshold)
+       for q, threshold in (("shannon", 0.834), ("min_entropy", 0.718), ("tsallis:2", 0.796))},
+}
+
+
+def exact_boundaries(family, criterion):
+    """Separability and, for steering, projective steering boundaries of a scan family.
+
+    Werner states are scanned in w, isotropic states in their singlet
+    fraction f.  The steering boundary is the visibility (H_d - 1)/(d - 1)
+    of Wiseman, Jones and Doherty, which is f = eta + (1 - eta)/d^2.
+    """
+    if family == "werner":
+        separable, steerable = 1.0 / 3.0, 0.5
+    else:
+        d = int(family.split(":")[1])
+        eta = (sum(1.0 / n for n in range(1, d + 1)) - 1.0) / (d - 1)
+        separable, steerable = 1.0 / d, eta + (1.0 - eta) / d**2
+    return [separable, steerable] if criterion.startswith("steering") else [separable]
+
+
+@pytest.mark.parametrize("name", BOUNDARY_SCANS)
+def test_scan_threshold_not_below_exact_boundary(tmp_path, name):
+    config, threshold = BOUNDARY_SCANS[name]
+    json_path = tmp_path / "scan.json"
+    assert run(write_config(tmp_path, config), json_path=str(json_path), restarts=16,
+               quiet=True) == 0
+    scan = json.loads(json_path.read_text())["scan"]
+    estimate, spec = scan["threshold_estimate"], config["scan"]
+    assert estimate is not None
+    for boundary in exact_boundaries(spec["family"], spec["criterion"]):
+        assert estimate >= boundary - spec["bisect_tol"], (name, boundary)
+    if threshold is not None:
+        assert estimate == pytest.approx(threshold, abs=1e-3)
+
+
 class TestErrors:
     def test_missing_file(self):
         assert main(["/nonexistent/config.json"]) == 1

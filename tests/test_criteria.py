@@ -34,6 +34,7 @@ from uwit import (
     uniform,
     werner,
 )
+from uwit.bounds import NUMERIC_SLACK
 from uwit.criteria import DETECTION_MARGIN
 from uwit.oracle import random_lhs_fixture, threshold_scan
 from uwit.quantum import PAULI_X, PAULI_Z, projector, random_mixed_state
@@ -213,6 +214,23 @@ class TestEntanglementFineGrained:
             bell_phi_plus(), meas_a, meas_b, (("+",), ("+",)), make_probvec((1.0,)), bound
         )
         assert not report.detected
+
+    def test_lhs_and_product_bound_sum_the_same_terms(self):
+        # a qubit and a qutrit side, a zero-weight pair and events of two terms
+        meas_a, meas_b = XZ_POVMS, random_qutrit_basis_povms(71)
+        priors = make_probvec((0.4, 0.0, 0.1, 0.5))
+        events = [[("+", "0"), ("-", "2")], [("+", "1")], [("0", "2"), ("1", "1")], [("1", "0")]]
+        pairs = itertools.product(range(2), repeat=2)
+        terms = [(w, meas_a[i].effect_for(a), meas_b[j].effect_for(b))
+                 for w, (i, j), event in zip(priors.values, pairs, events) for a, b in event]
+        state = random_mixed_state(6, np.random.default_rng(70), dims=(2, 3))
+        bound = fine_grained_bound_product(meas_a, meas_b, events, priors, restarts=8, seed=8)
+        report = entanglement_fine_grained(state, meas_a, meas_b, events, priors, bound)
+        lhs = sum(w * np.trace(np.kron(e, f) @ state.matrix).real for w, e, f in terms)
+        assert report.lhs_value == pytest.approx(lhs, abs=1e-12)
+        psi = bound.operator_norm_witness
+        value = sum(w * (psi.conj() @ np.kron(e, f) @ psi).real for w, e, f in terms)
+        assert bound.value == pytest.approx(value + NUMERIC_SLACK, abs=1e-12)
 
     def test_fingerprint_mismatch(self):
         meas = XZ_POVMS

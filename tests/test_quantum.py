@@ -469,6 +469,78 @@ class TestObservableIsPovm:
             Observable(PAULI_Z, (1.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
 
 
+# default and fixed labels with the fingerprint of each measurement set
+LABELLED = {
+    "pauli_x": (lambda: [pauli_observable("x")], [("+", "-")]),
+    "pauli_y": (lambda: [pauli_observable("y")], [("+i", "-i")]),
+    "pauli_z": (lambda: [pauli_observable("z")], [("0", "1")]),
+    "bloch": (lambda: [bloch_observable((0.6, 0.0, 0.8))], [("+", "-")]),
+    "mub:3:2": (lambda: mub_bases(3, 2), [("0", "1", "2")] * 2),
+    "mub:5:3": (lambda: mub_bases(5, 3), [tuple("01234")] * 3),
+    "from_x": (lambda: [observable_from_matrix(PAULI_X)], [("1", "-1")]),
+    "from_z": (lambda: [observable_from_matrix(PAULI_Z)], [("1", "-1")]),
+    "from_diag": (lambda: [observable_from_matrix(np.diag([1.0, -1.0, 1.0]))], [("1", "-1")]),
+}
+# the Pauli projectors (I +/- sigma) / 2 are exact, and so are these digests
+PAULI_DIGESTS = {
+    "pauli_x": "64022e48b2760df0a46a87bcf94d0703a69d8d077de93a458079a33e56be10dd",
+    "pauli_y": "156507bb272dc7b0cb9863d5ccd2096e98c7e88bd49abb81b7beaee13eb8de15",
+    "pauli_z": "2b4a6d2a4d87014a9f88455235d1075cd067e5337c24184e773a54fde7b94a0e",
+}
+
+
+class TestOutcomeLabels:
+    def test_eigenvalues_equal_to_twelve_digits_get_distinct_labels(self):
+        # 2e-8 apart, beyond EIG_MERGE_TOL, but both "10000" to 12 digits
+        obs = observable_from_matrix(np.diag([10000.0, 10000.00000002]))
+        assert obs.outcome_labels == ("10000.00000002", "10000.0")
+
+    @pytest.mark.parametrize("name", LABELLED)
+    def test_labels_and_fingerprints_unchanged(self, name):
+        build, labels = LABELLED[name]
+        observables = build()
+        assert [obs.outcome_labels for obs in observables] == labels
+        explicit = [Povm(obs.effects, lab) for obs, lab in zip(observables, labels)]
+        assert fingerprint_povms(observables) == fingerprint_povms(explicit)
+        if name in PAULI_DIGESTS:
+            assert fingerprint_povms(observables) == PAULI_DIGESTS[name]
+
+
+def spectral_sum(obs):
+    """Sum of (d - 1 - j) P_j over the effects, in the order the basis builders sum it."""
+    d = len(obs.effects)
+    return sum(float(d - 1 - j) * p for j, p in enumerate(obs.effects))
+
+
+class TestBasisObservables:
+    @pytest.mark.parametrize("d, m", [(3, 2), (3, 4), (5, 3)])
+    def test_mub_bases_match_their_construction(self, d, m):
+        ls = np.arange(d)
+        omega = np.exp(2j * np.pi / d)
+        vectors = [np.eye(d)[:, j] for j in range(d)]
+        vectors += [omega ** ((k * ls * ls + j * ls) % d) / np.sqrt(d)
+                    for k in range(m - 1) for j in range(d)]
+        bases = mub_bases(d, m)
+        effects = [e for obs in bases for e in obs.effects]
+        assert len(effects) == len(vectors)
+        assert all(np.array_equal(e, projector(v)) for e, v in zip(effects, vectors))
+        for obs in bases:
+            assert obs.outcome_labels == tuple(str(j) for j in range(d))
+            assert obs.eigenvalues == tuple(float(j) for j in range(d - 1, -1, -1))
+            assert np.array_equal(obs.matrix, spectral_sum(obs))
+
+    def test_schmidt_observables_match_their_construction(self):
+        rng = np.random.default_rng(39)
+        for dims in ((2, 2), (3, 3)):
+            d = dims[0]
+            for _ in range(5):
+                x, y = schmidt_observables(random_ket(d * d, rng), dims)
+                for obs in x + y:
+                    assert obs.outcome_labels == tuple(str(j) for j in range(d))
+                    assert obs.eigenvalues == tuple(float(j) for j in range(d - 1, -1, -1))
+                    assert np.array_equal(obs.matrix, spectral_sum(obs))
+
+
 class TestObservableMatrix:
     def test_matrix_is_a_read_only_copy(self):
         obs = pauli_observable("x")
