@@ -13,15 +13,17 @@ Two bound families are computed here:
   every k when d <= 3 (``omega_two_bases``; ``omega_two_dichotomic`` is its
   d = 2 case).  For more measurements each top-k entry is obtained by
   maximizing the sum of the k largest tensor statistics over pure states
-  with multi-restart projected gradient ascent.  All restarts advance
-  together as one (R, d) stack of kets: each iteration builds every row's
+  with multi-restart projected gradient ascent.  The restarts of every k
+  advance together in one loop, as one (K R, d) stack of kets whose rows
+  carry their own k and statistics: each iteration builds every row's
   gradient operator at once, takes the eigenvector jumps with one batched
-  ``eigh`` and runs every row's line search as one batch.  Each row stops
-  once an iteration gains less than ``STEP_TOL``, or once it cannot reach
-  the best value of any restart so far even if it kept its last gain for
-  every remaining iteration.  One batched kernel (``tensor_stats`` and
-  ``topk_sums``) evaluates those statistics for the ascent and for the
-  brute-force maximizers in ``oracle``.
+  ``eigh`` and runs one batched line search over the rows whose jump did
+  not improve, if any.  Each row stops once an iteration gains less than
+  ``STEP_TOL``, or once it cannot reach the best value of any restart of
+  its k so far even if it kept its last gain for every remaining
+  iteration.  One batched kernel (``tensor_stats``, one Born product for
+  every measurement, and ``topk_sums``) evaluates those statistics for
+  the ascent and for the brute-force maximizers in ``oracle``.
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
@@ -148,40 +150,46 @@ def tensor_stats(kets: np.ndarray,
     their (N, prod n_i) tensor product in row-major outcome order.
     """
     n, d = kets.shape
-    # <psi|E|psi> = sum_ab conj(psi_a) psi_b E_ab: one matmul per measurement
+    # <psi|E|psi> = sum_ab conj(psi_a) psi_b E_ab: one matmul for every measurement
     outer = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(n, d * d)
-    probs = [np.clip((outer @ e.reshape(-1, d * d).T).real, 0.0, None) for e in effect_stacks]
+    flat = np.clip((outer @ np.concatenate(effect_stacks).reshape(-1, d * d).T).real, 0.0, None)
+    ends = np.cumsum([len(e) for e in effect_stacks])
+    probs = [flat[:, end - len(e):end] for e, end in zip(effect_stacks, ends)]
     return probs, tensor_rows(probs)
 
 
-def topk_sums(t: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise sums of the k >= 1 largest entries of an (N, m) array."""
-    return np.sort(t, axis=1)[:, -k:].sum(axis=1)
+def topk_sums(t: np.ndarray, k) -> np.ndarray:
+    """Row-wise sums of the k >= 1 largest entries of an (N, m) array.
+
+    ``k`` is one count for every row or an (N,) array of counts, one per row.
+    """
+    m = t.shape[1]
+    top = np.arange(m) >= m - np.reshape(k, (-1, 1))
+    return np.where(top, np.sort(t, axis=1), 0.0).sum(axis=1)
 
 
-def _topk_gradient_ops(kets: np.ndarray, effect_stacks: Sequence[np.ndarray],
-                       k: int) -> np.ndarray:
+def _topk_gradient_ops(probs: Sequence[np.ndarray], t: np.ndarray, ks: np.ndarray,
+                       effect_stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Active-set gradient operators G with d f / d psi* = G psi, one per ket.
 
-    With S the k largest tensor-statistic entries of a ket, G is the sum over
-    measurements i and outcomes a of w_i[a] E_{i,a}, where w_i[a] adds up,
-    over the entries of S whose index at position i is a, the product of the
-    other measurements' statistics.  Returns an (N, d, d) stack.
+    ``probs`` and ``t`` are the kets' ``tensor_stats`` and ``ks`` their (N,)
+    counts.  With S the k largest tensor-statistic entries of a ket, G is
+    the sum over measurements i and outcomes a of w_i[a] E_{i,a}, where
+    w_i[a] adds up, over the entries of S whose index at position i is a,
+    the product of the other measurements' statistics.  Returns an (N, d, d)
+    stack.
     """
-    probs, t = tensor_stats(kets, effect_stacks)
-    n, d = kets.shape
-    if k >= t.shape[1]:
-        mask = np.ones(t.shape)
-    else:
-        mask = np.zeros(t.shape)
-        np.put_along_axis(mask, np.argpartition(t, -k, axis=1)[:, -k:], 1.0, axis=1)
+    n, m = t.shape
+    d = effect_stacks[0].shape[1]
+    mask = np.empty(t.shape)
+    np.put_along_axis(mask, np.argsort(t, axis=1), np.arange(m) >= m - ks[:, None], axis=1)
     mask = mask.reshape((n,) + tuple(p.shape[1] for p in probs))
     axes = list(range(len(probs) + 1))
-    g = np.zeros((n, d * d), dtype=complex)
-    for i, effects in enumerate(effect_stacks):
+    w = []
+    for i in range(len(probs)):
         others = [x for j, p in enumerate(probs) if j != i for x in (p, [0, j + 1])]
-        w = np.einsum(mask, axes, *others, [0, i + 1])
-        g += w @ effects.reshape(-1, d * d)
+        w.append(np.einsum(mask, axes, *others, [0, i + 1]))
+    g = np.concatenate(w, axis=1) @ np.concatenate(effect_stacks).reshape(-1, d * d)
     return g.reshape(n, d, d)
 
 
@@ -193,83 +201,96 @@ _STEPS = 0.5 ** np.arange(40)
 _BATCH_ENTRIES = 2**22
 
 
-def _ascend_topk(kets: np.ndarray, effect_stacks: Sequence[np.ndarray], k: int,
-                 maxiter: int, best: float = -np.inf) -> np.ndarray:
+def _ascend_topk(kets: np.ndarray, ks: np.ndarray, effect_stacks: Sequence[np.ndarray],
+                 maxiter: int, best: np.ndarray | None = None) -> np.ndarray:
     """Top-k ascent from every row of an (R, d) stack of start kets at once.
 
-    Each row follows its own ascent and stops once an iteration gains less
-    than ``STEP_TOL``.  A row is also dropped once it cannot reach the best
-    value seen so far: after iteration t, when f + (maxiter - t - 1) * gain
-    falls below ``best``, the largest value of any row, stopped ones
-    included, and of the ``best`` passed in.  The best row gains at least
-    zero and is never dropped.  Returns the (R,) array of final top-k sums.
+    Row r maximizes the top-``ks[r]`` sum and stops once an iteration gains
+    less than ``STEP_TOL``.  A row is also dropped once it cannot reach the
+    best value of its k seen so far: after iteration t, when
+    f + (maxiter - t - 1) * gain falls below the largest value of any row of
+    that k, stopped ones included, and of ``best[k]`` passed in.  The best
+    row of each k gains at least zero and is never dropped.  Each row's
+    statistics are carried between iterations.  Returns the (R,) array of
+    final top-k sums.
     """
-    def values(stack: np.ndarray) -> np.ndarray:
-        return topk_sums(tensor_stats(stack, effect_stacks)[1], k)
+    def stats(stack: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        # what each row carries: its top-k sum, tensor and measurement statistics
+        probs, t = tensor_stats(stack, effect_stacks)
+        return (topk_sums(t, k), t, *probs)
 
+    def accept(rows: np.ndarray, new_kets: np.ndarray, new: tuple, sel: np.ndarray) -> None:
+        psi[rows] = new_kets[sel]
+        for old, arr in zip(carried, new):
+            old[rows] = arr[sel]
+
+    best = np.full(ks.max() + 1, -np.inf) if best is None else best.copy()
     psi = kets.copy()
-    f = values(psi)
+    carried = stats(psi, ks)
+    f, t, *probs = carried
     active = np.arange(len(psi))
-    for t in range(maxiter):
+    for it in range(maxiter):
         if active.size == 0:
             break
-        cur, f_cur = psi[active], f[active]
-        ops = _topk_gradient_ops(cur, effect_stacks, k)
+        cur, f_cur, k = psi[active], f[active], ks[active]
+        ops = _topk_gradient_ops([p[active] for p in probs], t[active], k, effect_stacks)
         # eigenvector jump of the active-set operator; exact whenever the
         # active set stays put, and it sidesteps the slow crawl a plain
         # gradient step suffers near degenerate optima
         jumps = np.linalg.eigh(ops)[1][:, :, -1]
-        f_jump = values(jumps)
-        jumped = f_jump > f_cur + 1e-15
-        psi[active[jumped]] = jumps[jumped]
-        f[active[jumped]] = f_jump[jumped]
-        going = jumped & (f_jump - f_cur >= STEP_TOL)
+        new = stats(jumps, k)
+        jumped = new[0] > f_cur + 1e-15
+        accept(active[jumped], jumps, new, jumped)
+        going = jumped & (new[0] - f_cur >= STEP_TOL)
         # rows whose jump did not improve take a projected gradient step
         rows = np.flatnonzero(~jumped)
-        g = np.einsum("rij,rj->ri", ops[rows], cur[rows])
-        r = g - np.sum(cur[rows].conj() * g, axis=1, keepdims=True) * cur[rows]
-        moving = np.linalg.norm(r, axis=1) >= 1e-13
-        rows, r = rows[moving], r[moving]
-        # backtracking line search, all steps of all rows in one batch: each
-        # row takes its longest step that improves
-        cands = cur[rows, None, :] + _STEPS[None, :, None] * r[:, None, :]
-        cands /= np.linalg.norm(cands, axis=2, keepdims=True)
-        fc = values(cands.reshape(-1, cands.shape[2])).reshape(len(rows), len(_STEPS))
-        better = fc > f_cur[rows, None] + 1e-15
-        found = better.any(axis=1)
-        rows, step = rows[found], better[found].argmax(axis=1)
-        f_step = fc[found, step]
-        psi[active[rows]] = cands[found, step]
-        f[active[rows]] = f_step
-        going[rows] = f_step - f_cur[rows] >= STEP_TOL
-        # drop rows that stay below the best value even if they kept this
-        # iteration's gain for every remaining iteration
-        best = max(best, float(f.max()))
+        if rows.size:
+            g = np.einsum("rij,rj->ri", ops[rows], cur[rows])
+            r = g - np.sum(cur[rows].conj() * g, axis=1, keepdims=True) * cur[rows]
+            moving = np.linalg.norm(r, axis=1) >= 1e-13
+            rows, r = rows[moving], r[moving]
+        if rows.size:
+            # backtracking line search, all steps of all rows in one batch:
+            # each row takes its longest step that improves
+            cands = cur[rows, None, :] + _STEPS[None, :, None] * r[:, None, :]
+            cands = (cands / np.linalg.norm(cands, axis=2, keepdims=True)).reshape(-1, cur.shape[1])
+            new = stats(cands, np.repeat(k[rows], len(_STEPS)))
+            better = new[0].reshape(len(rows), len(_STEPS)) > f_cur[rows, None] + 1e-15
+            found = better.any(axis=1)
+            rows, picked = rows[found], np.flatnonzero(found) * len(_STEPS)
+            accept(active[rows], cands, new, picked + better[found].argmax(axis=1))
+            going[rows] = f[active[rows]] - f_cur[rows] >= STEP_TOL
+        # drop rows that stay below their k's best value even if they kept
+        # this iteration's gain for every remaining iteration
         f_new = f[active]
-        going &= f_new + (maxiter - t - 1) * (f_new - f_cur) >= best
+        np.maximum.at(best, k, f_new)
+        going &= f_new + (maxiter - it - 1) * (f_new - f_cur) >= best[k]
         active = active[going]
     return f
 
 
-def _max_topk(povms: Sequence[Povm], k: int, restarts: int,
-              seed_seq: np.random.SeedSequence, maxiter: int = 400) -> float:
-    """Maximize the top-k sum of the tensor statistics over pure states.
+def _max_topk(povms: Sequence[Povm], seeds: dict[int, np.random.SeedSequence], restarts: int,
+              maxiter: int = 400) -> dict[int, float]:
+    """Maximize the top-k sum of the tensor statistics over pure states, for each k of ``seeds``.
 
-    The restarts run in batches of at most ``_BATCH_ENTRIES`` line-search
-    entries, and each batch starts from the best value of the batches
-    before it, so its rows are dropped once they cannot reach that value.
+    Each k draws its ``restarts`` start kets from ``seeds[k].spawn(restarts)``.
+    The restarts of every k advance as one stack, in batches of at most
+    ``_BATCH_ENTRIES`` line-search entries, and each batch starts from the
+    best value of each k in the batches before it, so its rows are dropped
+    once they cannot reach that value.
     """
     effect_stacks = [np.array(p.effects) for p in povms]
     dim = povms[0].dim
     kets = np.array([random_ket(dim, np.random.default_rng(child))
-                     for child in seed_seq.spawn(restarts)])
+                     for seq in seeds.values() for child in seq.spawn(restarts)])
+    ks = np.repeat(list(seeds), restarts)
     entries = len(_STEPS) * int(np.prod([p.n_outcomes for p in povms]))
     rows = max(1, _BATCH_ENTRIES // entries)
-    best = -np.inf
-    for s in range(0, restarts, rows):
-        best = max(best, float(_ascend_topk(kets[s:s + rows], effect_stacks, k, maxiter,
-                                            best).max()))
-    return best
+    best = np.full(max(seeds, default=0) + 1, -np.inf)
+    for s in range(0, len(kets), rows):
+        np.maximum.at(best, ks[s:s + rows],
+                      _ascend_topk(kets[s:s + rows], ks[s:s + rows], effect_stacks, maxiter, best))
+    return {k: float(best[k]) for k in seeds}
 
 
 def _concave_majorant_increments(cumulative: Sequence[float]) -> list[float]:
@@ -332,8 +353,8 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
     seeds = np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))
-    cumulative = [_max_topk(meas, k, restarts, seeds[k - 1]) + NUMERIC_SLACK
-                  for k in range(1, d_out)]
+    maxima = _max_topk(meas, dict(zip(range(1, d_out), seeds)), restarts)
+    cumulative = [maxima[k] + NUMERIC_SLACK for k in range(1, d_out)]
     return BoundVector(
         omega=_omega_from_cumulative(cumulative, tensor_size),
         method=NUMERIC_TOPK,
@@ -385,7 +406,16 @@ def _block_norms(u: np.ndarray, k: int) -> float:
         rows = np.array(list(itertools.combinations(range(d), r)))
         cols = np.array(list(itertools.combinations(range(d), c)))
         blocks = u[rows[:, None, :, None], cols[None, :, None, :]]
-        best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[..., 0].max()))
+        if min(r, c) > 2:
+            norm = np.linalg.svd(blocks, compute_uv=False)[..., 0].max()
+        else:
+            # a block with a side of 2 has the norm sqrt(lambda_max) of its
+            # 2 x 2 Gram matrix [[a, z], [z*, b]] over that side
+            two = blocks if r == 2 else blocks.swapaxes(-1, -2)
+            a, b = (np.abs(two) ** 2).sum(axis=-1).transpose(2, 0, 1)
+            z = np.abs((two[..., 0, :] * two[..., 1, :].conj()).sum(axis=-1))
+            norm = np.sqrt((a + b) / 2.0 + np.hypot((a - b) / 2.0, z)).max()
+        best = max(best, float(norm))
     return best
 
 
@@ -544,15 +574,14 @@ def _fine_grained_terms(meas_a: Sequence[Povm], meas_b: Sequence[Povm], events,
                         priors: ProbVec):
     """(weight, i, j, k, l) per outcome pair (k, l) of the events of each setting pair (i, j).
 
-    ``events`` come from :func:`_pair_events`; pairs of zero weight are skipped.
+    ``events`` come from :func:`_pair_events`.  Every pair's labels are
+    resolved, so an unknown one raises even where the weight is zero; pairs
+    of zero weight then add no term.
     """
     pairs = setting_pairs(len(meas_a), len(meas_b))
-    for weight, (i, j), event in zip(priors.values, pairs, events):
-        if weight == 0.0:
-            continue
-        for a_label, b_label in event:
-            k, l = _outcome_index(meas_a[i], a_label), _outcome_index(meas_b[j], b_label)
-            yield weight, i, j, k, l
+    terms = [(weight, i, j, _outcome_index(meas_a[i], a), _outcome_index(meas_b[j], b))
+             for weight, (i, j), event in zip(priors.values, pairs, events) for a, b in event]
+    return [term for term in terms if term[0] != 0.0]
 
 
 def matched_outcome_events(povm_a: Povm, povm_b: Povm) -> list[tuple[str, str]]:

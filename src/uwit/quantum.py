@@ -68,21 +68,28 @@ def _check_dim(d: int) -> None:
 _CHECK_ENTRIES = 2**18
 
 
+def _hermitian_extremes(stack: np.ndarray) -> tuple[float, float]:
+    """Largest entry of |A - A^dagger| and smallest eigenvalue of (A + A^dagger)/2 over a stack."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    return np.abs(stack - adjoint).max(), np.linalg.eigvalsh((stack + adjoint) / 2.0).min()
+
+
 def _check_hermitian_psd(stack: np.ndarray, what: str) -> None:
     """Raise unless every matrix over the trailing two axes is Hermitian and PSD.
 
     Hermitian within ``HERM_TOL`` (checked first) and no eigenvalue below
-    ``-PSD_TOL``, one batched ``eigvalsh`` per chunk of ``_CHECK_ENTRIES``.
+    ``-PSD_TOL``, one batched ``eigvalsh`` per chunk of ``_CHECK_ENTRIES``;
+    a stack that fits one chunk is checked whole.
     """
     d = stack.shape[-1]
-    stack = stack.reshape(-1, d, d)
     rows = max(1, _CHECK_ENTRIES // (d * d))
-    deviation, wmin = 0.0, np.inf
-    for start in range(0, len(stack), rows):
-        chunk = stack[start:start + rows]
-        adjoint = chunk.conj().swapaxes(1, 2)
-        deviation = max(deviation, np.abs(chunk - adjoint).max())
-        wmin = min(wmin, np.linalg.eigvalsh((chunk + adjoint) / 2.0)[:, 0].min())
+    if stack.size <= rows * d * d:
+        deviation, wmin = _hermitian_extremes(stack)
+    else:
+        stack = stack.reshape(-1, d, d)
+        extremes = np.array([_hermitian_extremes(stack[start:start + rows])
+                             for start in range(0, len(stack), rows)])
+        deviation, wmin = extremes[:, 0].max(), extremes[:, 1].min()
     if deviation > HERM_TOL:
         raise NotHermitian(f"{what} is not Hermitian within tolerance")
     if wmin < -PSD_TOL:

@@ -135,15 +135,18 @@ def line_witness_values(x, y):
     b = np.linalg.eigh(y.matrix)[1][:, ::-1].T
     u = a.conj() @ b.T
     effects = [np.array(x.effects), np.array(y.effects)]
+    lines = [(kets[i], others, v[i], np.argsort(-np.abs(v[i])))
+             for kets, others, v in ((a, b, u), (b, a, u.conj().T)) for i in range(d)]
+
+    def witness(ket, others, row, order, k):
+        proj = others[order[:k]].T @ row[order[:k]].conj()
+        return ket + proj / np.linalg.norm(proj)
+
     best = np.zeros(d - 1)
-    for kets, others, v in ((a, b, u), (b, a, u.conj().T)):
-        for i in range(d):
-            order = np.argsort(-np.abs(v[i]))
-            for k in range(1, d):
-                proj = others[order[:k]].T @ v[i, order[:k]].conj()
-                psi = kets[i] + proj / np.linalg.norm(proj)
-                t = tensor_stats((psi / np.linalg.norm(psi))[None], effects)[1]
-                best[k - 1] = max(best[k - 1], topk_sums(t, k)[0])
+    for k in range(1, d):
+        psi = np.array([witness(*line, k) for line in lines])
+        t = tensor_stats(psi / np.linalg.norm(psi, axis=1, keepdims=True), effects)[1]
+        best[k - 1] = topk_sums(t, k).max()
     return best
 
 
@@ -216,7 +219,7 @@ class TestOmegaTwoBases:
                 x, y = gue_observable(d, rng), gue_observable(d, rng)
                 top = top_sums(omega_two_bases(x, y), d)
                 for k in range(1, d):
-                    assert top[k - 1] >= _max_topk([x, y], k, 8, np.random.SeedSequence(trial))
+                    assert top[k - 1] >= _max_topk([x, y], {k: np.random.SeedSequence(trial)}, 8)[k]
                     if d <= 3:
                         assert top[k - 1] >= brute_force_topk([x, y], k, 20_000)
 
@@ -228,7 +231,7 @@ class TestOmegaTwoBases:
         # the ascent stops once a step gains less than STEP_TOL = 1e-10; at
         # k = 1 it ends 6e-11 below the Landau-Pollak optimum
         for k in (1, 2):
-            ascent = _max_topk(meas, k, 16, np.random.SeedSequence(k))
+            ascent = _max_topk(meas, {k: np.random.SeedSequence(k)}, 16)[k]
             assert ascent <= top[k - 1] <= ascent + 1e-10
         landau_pollak = ((1.0 + 1.0 / np.sqrt(3.0)) / 2.0) ** 2
         assert landau_pollak < bound.omega[0] <= landau_pollak + CLOSED_FORM_MARGIN
@@ -253,7 +256,7 @@ class TestOmegaTwoBases:
         assert bound.method == ANALYTIC_TWO_BASES and bound.certified
         top = top_sums(bound, 4)
         assert np.all(top >= closed)
-        assert top[2] >= _max_topk([x, y], 3, 64, np.random.SeedSequence(0))
+        assert top[2] >= _max_topk([x, y], {3: np.random.SeedSequence(0)}, 64)[3]
         assert top[2] >= line_witness_values(x, y)[2]
 
     def test_blocks_over_budget_take_a_proven_cap(self, monkeypatch):
@@ -268,7 +271,7 @@ class TestOmegaTwoBases:
         assert bound.method == ANALYTIC_TWO_BASES and bound.certified_slack == 0.0
         top = top_sums(bound, 4)
         assert top[2] >= exact[2]
-        assert top[2] >= _max_topk([x, y], 3, 64, np.random.SeedSequence(3))
+        assert top[2] >= _max_topk([x, y], {3: np.random.SeedSequence(3)}, 64)[3]
         assert top[2] >= line_witness_values(x, y)[2]
 
     @pytest.mark.parametrize("d", [5, 6, 8])
@@ -281,6 +284,23 @@ class TestOmegaTwoBases:
                 patch.setattr(bounds, "_BLOCK_ENTRIES", 0)
                 capped = _overlap_norms(x, y)[1]
             assert np.all(capped >= exact) and np.all(capped[2:] <= 1.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_block_norms_match_svd(self, d):
+        # every block with a side of 2 takes the closed form of its Gram
+        # matrix; the largest norm over each k matches a full SVD enumeration
+        rng = np.random.default_rng([56, d])
+        for _ in range(5):
+            q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            u = q * (np.diag(r) / np.abs(np.diag(r)))
+            for k in range(1, 2 * d):
+                shapes = [(r, k + 1 - r) for r in range(2, k) if k + 1 - r <= d and r <= d]
+                want = max((np.linalg.svd(u[np.array(rows)[:, None], np.array(cols)],
+                                          compute_uv=False)[0]
+                            for r, c in shapes
+                            for rows in itertools.combinations(range(d), r)
+                            for cols in itertools.combinations(range(d), c)), default=-np.inf)
+                assert bounds._block_norms(u, k) == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("d", [4, 10, 16, 64])
     def test_two_bases_run_no_ascent(self, d, monkeypatch):
@@ -344,29 +364,40 @@ class TestOmegaNumeric:
 
     @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3", "mub:3:4", "mub:5:2"])
     def test_batch_keeps_maximum_of_one_row_runs(self, name, monkeypatch):
-        # a batch reaches the best one-row run; a row that ends elsewhere
-        # was dropped early, below the batch maximum; and splitting the
-        # restarts into several batches changes nothing
+        # the stack of every k reaches each k's best one-k, one-row run; a
+        # row that ends elsewhere was dropped early, below its k's maximum;
+        # and splitting the stack into batches, inside one k or across two,
+        # changes nothing
         meas = ASCENT_SETS[name]
         effect_stacks = [np.array(p.effects) for p in meas]
         tensor_size = int(np.prod([p.n_outcomes for p in meas]))
+        ks = list(range(1, meas[0].n_outcomes))
+
+        def seeds(seed):
+            return dict(zip(ks, np.random.SeedSequence(seed).spawn(len(ks))))
+
         for seed in range(5):
             kets = np.array([random_ket(meas[0].dim, np.random.default_rng(child))
-                             for child in np.random.SeedSequence(seed).spawn(8)])
-            for k in range(1, meas[0].n_outcomes):
-                batch = _ascend_topk(kets, effect_stacks, k, 400)
-                rows = np.array([_ascend_topk(kets[i:i + 1], effect_stacks, k, 400)[0]
-                                 for i in range(8)])
-                assert abs(batch.max() - rows.max()) <= 1e-12
-                dropped = np.abs(batch - rows) > 1e-12
-                assert np.all(batch[dropped] < rows[dropped])
-                assert np.all(batch[dropped] < batch.max())
-                whole = _max_topk(meas, k, 8, np.random.SeedSequence(seed))
-                assert abs(whole - batch.max()) <= 1e-12
+                             for seq in seeds(seed).values() for child in seq.spawn(8)])
+            row_ks = np.repeat(ks, 8)
+            stack = _ascend_topk(kets, row_ks, effect_stacks, 400)
+            rows = np.array([_ascend_topk(kets[i:i + 1], row_ks[i:i + 1], effect_stacks, 400)[0]
+                             for i in range(len(kets))])
+            whole = _max_topk(meas, seeds(seed), 8)
+            for k in ks:
+                mine = row_ks == k
+                assert abs(stack[mine].max() - rows[mine].max()) <= 1e-12
+                assert abs(whole[k] - rows[mine].max()) <= 1e-12
+                dropped = mine & (np.abs(stack - rows) > 1e-12)
+                assert np.all(stack[dropped] < rows[dropped])
+                assert np.all(stack[dropped] < stack[mine].max())
+            # batches of three restarts split every k; batches of twelve
+            # split the stack across the first two k
+            for batch in (3, 12):
                 with monkeypatch.context() as patch:
-                    # batches of three restarts
-                    patch.setattr(bounds, "_BATCH_ENTRIES", 3 * len(bounds._STEPS) * tensor_size)
-                    assert abs(_max_topk(meas, k, 8, np.random.SeedSequence(seed)) - whole) <= 1e-12
+                    patch.setattr(bounds, "_BATCH_ENTRIES", batch * len(bounds._STEPS) * tensor_size)
+                    split = _max_topk(meas, seeds(seed), 8)
+                assert all(abs(split[k] - whole[k]) <= 1e-12 for k in ks)
 
     def test_crawling_restarts_are_dropped(self, monkeypatch):
         # two of these ten restarts crawl near 0.2963 for all 400 iterations
@@ -381,9 +412,25 @@ class TestOmegaNumeric:
 
         monkeypatch.setattr(bounds, "_topk_gradient_ops", counted)
         meas = [o.povm() for o in mub_bases(3, 3)]
-        value = _max_topk(meas, 1, 10, np.random.SeedSequence(4))
+        value = _max_topk(meas, {1: np.random.SeedSequence(4)}, 10)[1]
         assert calls <= 50
         assert abs(value - 0.36153150907395715) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3", "mub:3:4", "mub:5:2"])
+    def test_kernel_never_gets_an_empty_stack(self, name, monkeypatch):
+        # rows whose eigenvector jump improved take no line search, and an
+        # iteration where every row jumped runs none
+        sizes = []
+        kernel = bounds.tensor_stats
+
+        def counted(kets, effect_stacks):
+            sizes.append(len(kets))
+            return kernel(kets, effect_stacks)
+
+        monkeypatch.setattr(bounds, "tensor_stats", counted)
+        for seed in range(3):
+            omega_numeric(ASCENT_SETS[name], restarts=10, seed=seed)
+        assert sizes and min(sizes) > 0
 
     @pytest.mark.parametrize("name", ["x/y", "x/y/z", "mub:3:2", "mub:3:3"])
     def test_matches_per_restart_loop_values(self, name):
@@ -450,6 +497,10 @@ class TestTensorStatsKernel:
             for k in range(1, ref.size + 1):
                 top = topk_sums(t[row:row + 1], k)[0]
                 assert top == pytest.approx(cumulative[k - 1], abs=1e-12)
+        # one count per row: row r sums its (r mod m) + 1 largest entries
+        counts = np.arange(len(t)) % t.shape[1] + 1
+        per_row = [topk_sums(t[row:row + 1], k)[0] for row, k in enumerate(counts)]
+        assert np.max(np.abs(topk_sums(t, counts) - per_row)) <= 1e-12
 
 
 class TestBatchedBornStats:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -34,7 +35,7 @@ from uwit import (
     uniform,
     werner,
 )
-from uwit.bounds import NUMERIC_SLACK
+from uwit.bounds import NUMERIC_SLACK, _pair_events, fingerprint_povms
 from uwit.criteria import DETECTION_MARGIN
 from uwit.oracle import random_lhs_fixture, threshold_scan
 from uwit.quantum import PAULI_X, PAULI_Z, projector, random_mixed_state
@@ -242,6 +243,22 @@ class TestEntanglementFineGrained:
             entanglement_fine_grained(
                 bell_phi_plus(), meas, meas, (("+", "1"), ("+", "1")), priors, bound
             )
+
+
+    def test_unknown_label_on_a_zero_weight_pair(self):
+        meas = XZ_POVMS
+        priors = make_probvec((0.5, 0.0, 0.0, 0.5))
+        events = [matched_outcome_events(meas[i], meas[j])
+                  for i, j in itertools.product(range(2), repeat=2)]
+        good = fine_grained_bound_product(meas, meas, events, priors, restarts=4, seed=7)
+        events[1] = [("nonsense", "?")]
+        with pytest.raises(BadParameter):
+            fine_grained_bound_product(meas, meas, events, priors, restarts=4, seed=7)
+        # a bound whose fingerprint matches these events reaches the lhs sum
+        bound = dataclasses.replace(good, measurement_fingerprint=fingerprint_povms(
+            list(meas) * 2, extra=repr(_pair_events(meas, meas, events))))
+        with pytest.raises(BadParameter):
+            entanglement_fine_grained(bell_phi_plus(), meas, meas, events, priors, bound)
 
 
 class TestSteeringFineGrained:
