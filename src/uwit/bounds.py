@@ -11,7 +11,9 @@ Two bound families are computed here:
   capped by Frobenius norms elsewhere, so every entry is proven; a witness
   state attains it wherever a 1 x k or k x 1 block reaches s_k, which is
   every k when d <= 3 (``omega_two_bases``; ``omega_two_dichotomic`` is its
-  d = 2 case).  For more measurements each top-k entry is obtained by
+  d = 2 case).  For more measurements the top-1 entry is the m-th power of
+  the uniform-prior fine-grained bound wherever a witness state attains it
+  (``_top1_closed_form``), and every other top-k entry is obtained by
   maximizing the sum of the k largest tensor statistics over pure states
   with multi-restart projected gradient ascent.  The restarts of every k
   advance together in one loop, as one (K R, d) stack of kets whose rows
@@ -21,9 +23,10 @@ Two bound families are computed here:
   not improve, if any.  Each row stops once an iteration gains less than
   ``STEP_TOL``, or once it cannot reach the best value of any restart of
   its k so far even if it kept its last gain for every remaining
-  iteration.  One batched kernel (``tensor_stats``, one Born product for
-  every measurement, and ``topk_sums``) evaluates those statistics for
-  the ascent and for the brute-force maximizers in ``oracle``.
+  iteration.  One batched kernel (``tensor_stats``, one Born product
+  against the ``flat_effects`` matrix of every measurement, and
+  ``topk_sums``) evaluates those statistics for the ascent and for the
+  brute-force maximizers in ``oracle``.
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
@@ -66,6 +69,7 @@ CLOSED_FORM_MARGIN = 2.0**-47
 ANALYTIC_TWO_DICHOTOMIC = "analytic_two_dichotomic"
 ANALYTIC_TWO_BASES = "analytic_two_bases"
 NUMERIC_TOPK = "numeric_topk"
+ANALYTIC_TOP1 = "analytic_top1"
 EIGEN_EXACT = "eigen_exact"
 ALTERNATING_NUMERIC = "alternating_numeric"
 
@@ -109,7 +113,7 @@ class BoundVector:
 
     @property
     def certified(self) -> bool:
-        return (self.method in (ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES)
+        return (self.method in (ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES, ANALYTIC_TOP1)
                 or self.certified_slack > 0.0)
 
 
@@ -141,20 +145,25 @@ def _max_overlap(x: Observable, y: Observable) -> float:
     return max(0.0, float(_traces(np.array(x.effects), np.array(y.effects)).max()))
 
 
-def tensor_stats(kets: np.ndarray,
-                 effect_stacks: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+def flat_effects(effect_stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The effects of (n_i, d, d) stacks as the rows of one (sum n_i, d^2) matrix, and each n_i."""
+    d = effect_stacks[0].shape[1]
+    return np.concatenate(effect_stacks).reshape(-1, d * d), tuple(len(e) for e in effect_stacks)
+
+
+def tensor_stats(kets: np.ndarray, effects: np.ndarray,
+                 sizes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """Born statistics of a stack of pure states and their tensor product.
 
-    ``kets`` is an (N, d) stack and each effect stack an (n_i, d, d) array.
-    Returns the (N, n_i) statistics of each measurement, clipped at zero, and
-    their (N, prod n_i) tensor product in row-major outcome order.
+    ``kets`` is an (N, d) stack and (``effects``, ``sizes``) the measurements'
+    :func:`flat_effects`.  Returns the (N, n_i) statistics of each measurement,
+    clipped at zero, and their (N, prod n_i) tensor product in row-major order.
     """
     n, d = kets.shape
     # <psi|E|psi> = sum_ab conj(psi_a) psi_b E_ab: one matmul for every measurement
     outer = (kets.conj()[:, :, None] * kets[:, None, :]).reshape(n, d * d)
-    flat = np.clip((outer @ np.concatenate(effect_stacks).reshape(-1, d * d).T).real, 0.0, None)
-    ends = np.cumsum([len(e) for e in effect_stacks])
-    probs = [flat[:, end - len(e):end] for e, end in zip(effect_stacks, ends)]
+    flat = np.clip((outer @ effects.T).real, 0.0, None)
+    probs = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
     return probs, tensor_rows(probs)
 
 
@@ -169,18 +178,18 @@ def topk_sums(t: np.ndarray, k) -> np.ndarray:
 
 
 def _topk_gradient_ops(probs: Sequence[np.ndarray], t: np.ndarray, ks: np.ndarray,
-                       effect_stacks: Sequence[np.ndarray]) -> np.ndarray:
+                       effects: np.ndarray) -> np.ndarray:
     """Active-set gradient operators G with d f / d psi* = G psi, one per ket.
 
-    ``probs`` and ``t`` are the kets' ``tensor_stats`` and ``ks`` their (N,)
-    counts.  With S the k largest tensor-statistic entries of a ket, G is
-    the sum over measurements i and outcomes a of w_i[a] E_{i,a}, where
-    w_i[a] adds up, over the entries of S whose index at position i is a,
-    the product of the other measurements' statistics.  Returns an (N, d, d)
-    stack.
+    ``probs`` and ``t`` are the kets' ``tensor_stats``, ``ks`` their (N,)
+    counts and ``effects`` the measurements' :func:`flat_effects` matrix.
+    With S the k largest tensor-statistic entries of a ket, G is the sum
+    over measurements i and outcomes a of w_i[a] E_{i,a}, where w_i[a] adds
+    up, over the entries of S whose index at position i is a, the product
+    of the other measurements' statistics.  Returns an (N, d, d) stack.
     """
     n, m = t.shape
-    d = effect_stacks[0].shape[1]
+    d = math.isqrt(effects.shape[1])
     mask = np.empty(t.shape)
     np.put_along_axis(mask, np.argsort(t, axis=1), np.arange(m) >= m - ks[:, None], axis=1)
     mask = mask.reshape((n,) + tuple(p.shape[1] for p in probs))
@@ -189,8 +198,7 @@ def _topk_gradient_ops(probs: Sequence[np.ndarray], t: np.ndarray, ks: np.ndarra
     for i in range(len(probs)):
         others = [x for j, p in enumerate(probs) if j != i for x in (p, [0, j + 1])]
         w.append(np.einsum(mask, axes, *others, [0, i + 1]))
-    g = np.concatenate(w, axis=1) @ np.concatenate(effect_stacks).reshape(-1, d * d)
-    return g.reshape(n, d, d)
+    return (np.concatenate(w, axis=1) @ effects).reshape(n, d, d)
 
 
 # line-search step lengths 1, 1/2, ... down to the last one above 1e-12
@@ -214,9 +222,11 @@ def _ascend_topk(kets: np.ndarray, ks: np.ndarray, effect_stacks: Sequence[np.nd
     statistics are carried between iterations.  Returns the (R,) array of
     final top-k sums.
     """
+    effects, sizes = flat_effects(effect_stacks)
+
     def stats(stack: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
         # what each row carries: its top-k sum, tensor and measurement statistics
-        probs, t = tensor_stats(stack, effect_stacks)
+        probs, t = tensor_stats(stack, effects, sizes)
         return (topk_sums(t, k), t, *probs)
 
     def accept(rows: np.ndarray, new_kets: np.ndarray, new: tuple, sel: np.ndarray) -> None:
@@ -233,7 +243,7 @@ def _ascend_topk(kets: np.ndarray, ks: np.ndarray, effect_stacks: Sequence[np.nd
         if active.size == 0:
             break
         cur, f_cur, k = psi[active], f[active], ks[active]
-        ops = _topk_gradient_ops([p[active] for p in probs], t[active], k, effect_stacks)
+        ops = _topk_gradient_ops([p[active] for p in probs], t[active], k, effects)
         # eigenvector jump of the active-set operator; exact whenever the
         # active set stays put, and it sidesteps the slow crawl a plain
         # gradient step suffers near degenerate optima
@@ -331,13 +341,38 @@ def _omega_from_cumulative(cumulative: Sequence[float], tensor_size: int) -> Pro
     return ProbVec(omega)
 
 
+def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
+    """The top-1 entry from the uniform fine-grained bound, where a witness state attains it.
+
+    For m measurements and every state, AM-GM bounds the entry of outcome
+    string s by (lambda_max(O_s)/m)^m, O_s = sum_i E_{i,s_i}.  Returns the
+    largest such value plus half of ``CLOSED_FORM_MARGIN`` where the top
+    eigenvector of the best O_s reaches it within the margin, else None;
+    None too where the strings times d^2 exceed ``_BLOCK_ENTRIES``.
+    """
+    m, d = len(sizes), math.isqrt(effects.shape[1])
+    if math.prod(sizes) * d * d > _BLOCK_ENTRIES:
+        return None
+    # every O_s at once: measurement i's effects broadcast along axis i
+    parts = np.split(effects.reshape(-1, d, d), np.cumsum(sizes)[:-1])
+    ops = sum(e.reshape((1,) * i + (len(e),) + (1,) * (m - i - 1) + (d, d))
+              for i, e in enumerate(parts)).reshape(-1, d, d)
+    w, v = np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+    best = int(w[:, -1].argmax())
+    entry = float((w[best, -1] / m) ** m) + CLOSED_FORM_MARGIN / 2.0
+    witness = tensor_stats(v[best, :, -1][None], effects, sizes)[1].max()
+    return entry if witness >= entry - CLOSED_FORM_MARGIN else None
+
+
 def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> BoundVector:
-    """Majorization bound via top-k maximization over pure states.
+    """Majorization bound via the top-1 closed form and top-k maximization over pure states.
 
     For k below the per-measurement outcome count, the cumulative entry is
-    the maximized sum of the k largest tensor-statistic entries plus a small
-    certified slack; the final cumulative entry is pinned to 1.  A least
-    concave majorant repairs any numeric non-monotonicity in the increments.
+    :func:`_top1_closed_form` at k = 1 where a witness attains it, else the
+    maximized sum of the k largest tensor-statistic entries plus a small
+    slack, each k with its own restart seeds; the final cumulative entry is
+    pinned to 1.  A least concave majorant repairs any numeric non-monotonicity
+    in the increments.  With no k left to the ascent the vector is proven.
     """
     if restarts < 1:
         raise BadParameter("at least one restart is required")
@@ -352,14 +387,16 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
     if tensor_size > 10**6:
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
-    seeds = np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))
-    maxima = _max_topk(meas, dict(zip(range(1, d_out), seeds)), restarts)
-    cumulative = [maxima[k] + NUMERIC_SLACK for k in range(1, d_out)]
+    seeds = dict(zip(range(1, d_out), np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))))
+    top1 = _top1_closed_form(*flat_effects([np.array(p.effects) for p in meas])) if seeds else None
+    cumulative = {} if top1 is None else {1: top1}
+    maxima = _max_topk(meas, {k: s for k, s in seeds.items() if k not in cumulative}, restarts)
+    cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
     return BoundVector(
-        omega=_omega_from_cumulative(cumulative, tensor_size),
-        method=NUMERIC_TOPK,
+        omega=_omega_from_cumulative(list(cumulative.values()), tensor_size),
+        method=NUMERIC_TOPK if maxima else ANALYTIC_TOP1,
         measurement_fingerprint=fingerprint_povms(meas),
-        certified_slack=NUMERIC_SLACK,
+        certified_slack=NUMERIC_SLACK if maxima else 0.0,
     )
 
 
@@ -374,8 +411,9 @@ def _unit_kets(effects: np.ndarray) -> np.ndarray:
     return effects[rows, :, m] / np.sqrt(diag[rows, m])[:, None]
 
 
-# the blocks of one k are enumerated only while they hold at most this many
-# entries: 16 MiB of complex blocks, whose SVDs take about half a second
+# the blocks of one k are enumerated, and the top-1 closed form builds its
+# outcome-string operators, only while they hold at most this many entries:
+# 16 MiB of complex blocks, whose SVDs take about half a second
 _BLOCK_ENTRIES = 2**20
 
 
@@ -602,13 +640,14 @@ def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.
     ``STEP_TOL``.  Returns the (R,) values and the final kets.
     """
     def expectations(kets: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        return tensor_stats(kets, [effects])[1]
+        return tensor_stats(kets, effects, [len(effects)])[1]
 
     def top_eigenvectors(coeffs: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        d = effects.shape[1]
-        ops = (coeffs @ effects.reshape(len(effects), d * d)).reshape(-1, d, d)
+        d = math.isqrt(effects.shape[1])
+        ops = (coeffs @ effects).reshape(-1, d, d)
         return np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)[1][:, :, -1]
 
+    effects_a, effects_b = (e.reshape(len(e), -1) for e in (effects_a, effects_b))
     u, v = u.copy(), v.copy()
     exp_b = expectations(v, effects_b)
     f = (weights * expectations(u, effects_a) * exp_b).sum(axis=1)

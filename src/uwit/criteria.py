@@ -48,6 +48,7 @@ from .errors import (
 from .probvec import ProbVec
 from .quantifier import Quantifier
 from .quantum import DensityState, Observable, Povm, bloch_observable, product_observable_stats
+from .quantum import state_from_correlation_tensor
 from .quantum import _outcome_index, _steered, _traces
 
 DETECTION_MARGIN = 1e-9
@@ -287,14 +288,13 @@ def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
     the configured measurement directions (Bob defaults to x and z), scoring
     each column as the prior-weighted matched-outcome probability obtained
     from the spatial block of the tensor, against the largest fine-grained
-    bound over all of Bob's outcome strings.  Reproduces the state-path
-    evaluation without reconstructing the state.
+    bound over all of Bob's outcome strings.  A tensor that encodes no
+    state (a matrix that is not PSD or of trace one) raises.  Reproduces
+    the state-path evaluation from the tensor.
     """
     t = np.asarray(t, dtype=float)
-    if t.shape != (4, 4):
-        raise DimensionMismatch("correlation tensor must be 4 x 4")
-    if abs(t[0, 0] - 1.0) > 1e-8:
-        raise BadParameter("correlation tensor of a valid state has T[0,0] = 1")
+    # the tensor is validated once, as the two-qubit state it encodes
+    state_from_correlation_tensor(t)
     alice = [np.asarray(s, dtype=float) for s in alice_directions]
     if bob_directions is None:
         bob_directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _BATCH_ENTRIES, BoundVector, fine_grained_bound, tensor_stats, topk_sums
+from .bounds import (
+    _BATCH_ENTRIES,
+    BoundVector,
+    fine_grained_bound,
+    flat_effects,
+    tensor_stats,
+    topk_sums,
+)
 from .criteria import DetectionReport
 from .errors import BadParameter, NonMonotoneScan
 from .probvec import SUM_TOL, ProbVec, majorization_excess_rows, tensor_rows
@@ -112,52 +119,47 @@ def _random_kets(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
-def _topk_over_bloch(effect_stacks: Sequence[np.ndarray], k: int, zs: np.ndarray,
+def _best_over_bloch(values: Callable[[np.ndarray], np.ndarray], zs: np.ndarray,
                      phis: np.ndarray) -> tuple[float, float, float]:
-    """Best top-k tensor-statistic sum over the given Bloch grid points."""
+    """Largest of ``values`` over the kets of the given Bloch grid points, and where."""
     z, phi = np.meshgrid(zs, phis, indexing="ij")
     z = z.ravel()
     phi = phi.ravel()
     half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
     kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
-    values = topk_sums(tensor_stats(kets, effect_stacks)[1], k)
-    best = int(np.argmax(values))
-    return float(values[best]), float(z[best]), float(phi[best])
+    found = values(kets)
+    best = int(np.argmax(found))
+    return float(found[best]), float(z[best]), float(phi[best])
 
 
-def _bloch_maximize(effect_stacks: Sequence[np.ndarray], k: int, grid_density: int) -> float:
-    """Stratified Bloch grid followed by local zoom refinements."""
+def _bloch_maximize(values: Callable[[np.ndarray], np.ndarray], grid_density: int) -> float:
+    """Maximize ``values`` over qubit kets: a stratified Bloch grid, then local zooms."""
     n = max(int(np.sqrt(grid_density)), 8)
     zs = 1.0 - 2.0 * (np.arange(n) + 0.5) / n
     phis = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    best, z0, phi0 = _topk_over_bloch(effect_stacks, k, zs, phis)
+    best, z0, phi0 = _best_over_bloch(values, zs, phis)
     dz = 2.0 / n
     dphi = 2.0 * np.pi / n
     for _ in range(3):
         zs = np.clip(np.linspace(z0 - 2 * dz, z0 + 2 * dz, 41), -1.0, 1.0)
         phis = np.linspace(phi0 - 2 * dphi, phi0 + 2 * dphi, 41)
-        value, z0, phi0 = _topk_over_bloch(effect_stacks, k, zs, phis)
+        value, z0, phi0 = _best_over_bloch(values, zs, phis)
         best = max(best, value)
         dz /= 10.0
         dphi /= 10.0
     return best
 
 
-def _qutrit_maximize(effect_stacks: Sequence[np.ndarray], k: int, grid_density: int) -> float:
-    """Seeded unit-vector sampling with shrinking local perturbations."""
+def _qutrit_maximize(values: Callable[[np.ndarray], np.ndarray], grid_density: int) -> float:
+    """Maximize ``values`` over qutrit kets: seeded sampling, then shrinking perturbations."""
     rng = np.random.default_rng(grid_density)
-    dim = effect_stacks[0].shape[1]
-
-    def values(kets: np.ndarray) -> np.ndarray:
-        return topk_sums(tensor_stats(kets, effect_stacks)[1], k)
-
-    kets = _random_kets(rng, grid_density, dim)
+    kets = _random_kets(rng, grid_density, 3)
     samples = values(kets)
     best = int(np.argmax(samples))
     best_val, best_psi = float(samples[best]), kets[best]
     scale = 0.3
     for _ in range(6):
-        for noise in _complex_normals(rng, 200, dim):
+        for noise in _complex_normals(rng, 200, 3):
             cand = best_psi + scale * noise
             cand = cand / np.linalg.norm(cand)
             v = float(values(cand[None])[0])
@@ -179,15 +181,19 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     if k < 1 or grid_density < 1:
         raise BadParameter("k and the grid density must be at least 1")
     dim = meas[0].dim
-    effect_stacks = [np.array(p.effects) for p in meas]
+    effects, sizes = flat_effects([np.array(p.effects) for p in meas])
+
+    def values(kets: np.ndarray) -> np.ndarray:
+        return topk_sums(tensor_stats(kets, effects, sizes)[1], k)
+
     if dim == 2:
-        return _bloch_maximize(effect_stacks, k, grid_density)
+        return _bloch_maximize(values, grid_density)
     if dim == 3:
         if grid_density > MAX_QUTRIT_GRID:
             raise BadParameter(
                 f"qutrit grid density {grid_density} exceeds the limit of {MAX_QUTRIT_GRID}"
             )
-        return _qutrit_maximize(effect_stacks, k, grid_density)
+        return _qutrit_maximize(values, grid_density)
     raise BadParameter(f"brute force supports dimension 2 or 3, got {dim}")
 
 
@@ -199,7 +205,8 @@ def cross_check_fine_grained(meas: Sequence[Povm], outcomes: Sequence[str],
     eigen_value = fine_grained_bound(meas, outcomes, priors).value
     effects = [p.effect_for(label) for p, label in zip(meas, outcomes)]
     combined = sum(w * e for w, e in zip(priors.values, effects))
-    grid_value = _bloch_maximize([combined[None]], 1, grid_density)
+    flat = flat_effects([combined[None]])
+    grid_value = _bloch_maximize(lambda kets: tensor_stats(kets, *flat)[1][:, 0], grid_density)
     return eigen_value, grid_value
 
 

@@ -34,19 +34,24 @@ from uwit import (
     pauli_observable,
     tensor_all,
     uniform,
+    verify_majorization_bound,
 )
 from uwit import bounds, cli
 from uwit.assemblage import matrix_from_json, matrix_to_json
 from uwit.bounds import (
+    ANALYTIC_TOP1,
     ANALYTIC_TWO_BASES,
     ANALYTIC_TWO_DICHOTOMIC,
     CLOSED_FORM_MARGIN,
     NUMERIC_SLACK,
+    NUMERIC_TOPK,
     _alternate,
     _ascend_topk,
     _concave_majorant_increments,
     _max_topk,
+    _omega_from_cumulative,
     _overlap_norms,
+    flat_effects,
     outcome_string_fingerprints,
     tensor_stats,
     topk_sums,
@@ -134,7 +139,7 @@ def line_witness_values(x, y):
     a = np.linalg.eigh(x.matrix)[1][:, ::-1].T
     b = np.linalg.eigh(y.matrix)[1][:, ::-1].T
     u = a.conj() @ b.T
-    effects = [np.array(x.effects), np.array(y.effects)]
+    effects = flat_effects([np.array(x.effects), np.array(y.effects)])
     lines = [(kets[i], others, v[i], np.argsort(-np.abs(v[i])))
              for kets, others, v in ((a, b, u), (b, a, u.conj().T)) for i in range(d)]
 
@@ -145,7 +150,7 @@ def line_witness_values(x, y):
     best = np.zeros(d - 1)
     for k in range(1, d):
         psi = np.array([witness(*line, k) for line in lines])
-        t = tensor_stats(psi / np.linalg.norm(psi, axis=1, keepdims=True), effects)[1]
+        t = tensor_stats(psi / np.linalg.norm(psi, axis=1, keepdims=True), *effects)[1]
         best[k - 1] = topk_sums(t, k).max()
     return best
 
@@ -163,8 +168,10 @@ def top_sums(bound, d):
 
 
 class TestOmegaTwoBases:
-    # random pairs for which the 16-restart ascent at seed 0 ends below a
-    # witness state: by 0.043 (k = 2), 0.095 (k = 1), 0.14 (k = 1), 0.070 (k = 2)
+    # random pairs for which the 16-restart ascent of omega_numeric's seed 0
+    # ends below a witness state: by 0.043 (k = 2), 0.095 (k = 1), 0.14
+    # (k = 1), 0.070 (k = 2); omega_numeric itself takes k = 1 from the top-1
+    # closed form, so the miss is shown on _max_topk
     @pytest.mark.parametrize("d, seed", [(5, 7), (5, 13), (6, 11), (6, 19)])
     def test_cli_bound_reaches_every_witness(self, d, seed, tmp_path):
         rng = np.random.default_rng([d, seed])
@@ -172,7 +179,8 @@ class TestOmegaTwoBases:
         # the observables the cli builds from the config
         x, y = (observable_from_matrix(matrix_from_json(m)) for m in matrices)
         witness = line_witness_values(x, y)
-        assert np.any(witness > top_sums(omega_numeric([x, y], restarts=16, seed=0), d))
+        ascent = _max_topk([x, y], every_k_seeds([x, y], 0), 16)
+        assert any(witness[k - 1] > ascent[k] for k in ascent)
         path, report = tmp_path / "bound.json", tmp_path / "report.json"
         path.write_text(json.dumps({
             "scenario_kind": "bound_only",
@@ -333,10 +341,12 @@ class TestOmegaTwoBases:
 
 class TestOmegaNumeric:
     def test_matches_analytic(self):
+        # two outcomes each: k = 1 is the only entry, and it takes the closed form
         bound = omega_numeric([SX.povm(), SY.povm()], restarts=24, seed=3)
         analytic = omega_two_dichotomic(SX, SY).omega
-        assert np.allclose(bound.omega.values, analytic.values, atol=1e-5)
-        assert bound.certified and bound.certified_slack == NUMERIC_SLACK
+        assert np.allclose(bound.omega.values, analytic.values, atol=1e-12)
+        assert bound.method == ANALYTIC_TOP1
+        assert bound.certified and bound.certified_slack == 0.0
 
     def test_single_measurement(self):
         bound = omega_numeric([SZ.povm()], restarts=8, seed=0)
@@ -423,9 +433,9 @@ class TestOmegaNumeric:
         sizes = []
         kernel = bounds.tensor_stats
 
-        def counted(kets, effect_stacks):
+        def counted(kets, effects, counts):
             sizes.append(len(kets))
-            return kernel(kets, effect_stacks)
+            return kernel(kets, effects, counts)
 
         monkeypatch.setattr(bounds, "tensor_stats", counted)
         for seed in range(3):
@@ -443,10 +453,17 @@ class TestOmegaNumeric:
             "mub:3:2": [o.povm() for o in mub_bases(3, 2)],
             "mub:3:3": [o.povm() for o in mub_bases(3, 3)],
         }[name]
+        # the ascent of every k (omega_numeric's vector without the top-1
+        # closed form) stays pinned to the reference
         for seed, want in enumerate(reference["omega"][name]):
-            got = omega_numeric(meas, restarts=reference["restarts"], seed=seed).omega.values
+            got = ascent_only_omega(meas, reference["restarts"], seed).values
             assert np.max(np.abs(got[:len(want)] - want)) <= 1e-9
             assert np.all(got[len(want):] == 0.0)
+        # omega_numeric's k = 1 entry is the closed form; for x/y/z it lies
+        # under the chord to the pinned top-2 entry, as the ascent's did
+        bound = omega_numeric(meas, restarts=reference["restarts"], seed=0)
+        if name != "x/y/z":
+            assert bound.omega[0] == pytest.approx(top1_closed_form(meas)[0], abs=1e-14)
 
     def test_concave_majorant_repair(self):
         increments = _concave_majorant_increments(np.array([0.5, 0.6, 1.0]))
@@ -479,13 +496,144 @@ ASCENT_SETS = {name: KERNEL_SETS[name] for name in ("xyz", "mub:3:2", "mub:3:3")
 }
 
 
+def gue_triple(seed):
+    rng = np.random.default_rng([57, seed])
+    return [gue_observable(3, rng) for _ in range(3)]
+
+
+# sets whose top-1 closed form no witness attains: the top eigenvector of
+# the best outcome-string operator ends more than CLOSED_FORM_MARGIN below it
+UNATTAINED_SETS = {
+    "mub:3:4": ASCENT_SETS["mub:3:4"],
+    "qutrit-povm-pair": [random_qutrit_povm(np.random.default_rng(s)) for s in (45, 46)],
+    **{f"gue-{seed}": gue_triple(seed) for seed in range(3)},
+}
+
+
+def every_k_seeds(meas, seed):
+    """omega_numeric's restart seeds: k draws from the (k - 1)-th child of SeedSequence(seed)."""
+    d_out = max(p.n_outcomes for p in meas)
+    return dict(zip(range(1, d_out), np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))))
+
+
+def ascent_only_omega(meas, restarts, seed):
+    """omega_numeric's vector with every k from the ascent and no top-1 closed form."""
+    maxima = _max_topk(meas, every_k_seeds(meas, seed), restarts)
+    return _omega_from_cumulative([maxima[k] + NUMERIC_SLACK for k in sorted(maxima)],
+                                  int(np.prod([p.n_outcomes for p in meas])))
+
+
+def top1_closed_form(meas):
+    """The top-1 closed form and the largest tensor entry of its witness state.
+
+    One eigh per outcome string and ``born_stats`` on the witness, apart from
+    the batched path of ``omega_numeric``.
+    """
+    strings = itertools.product(*(p.effects for p in meas))
+    w, v = max((np.linalg.eigh(sum(effects)) for effects in strings), key=lambda wv: wv[0][-1])
+    value, state = w[-1], DensityState(projector(v[:, -1]))
+    witness = tensor_all([born_stats(state, p) for p in meas]).values.max()
+    return (value / len(meas)) ** len(meas) + CLOSED_FORM_MARGIN / 2.0, witness
+
+
+def library_top1(meas):
+    return bounds._top1_closed_form(*flat_effects([np.array(p.effects) for p in meas]))
+
+
+class TestTopOneClosedForm:
+    """omega_numeric's k = 1 entry from the uniform fine-grained bound."""
+
+    @pytest.mark.parametrize("name, grid", [("xyz", 50_000), ("mub:3:3", 3_000)])
+    def test_at_least_brute_force_and_within_margin_of_its_witness(self, name, grid):
+        meas = ASCENT_SETS[name]
+        entry, witness = top1_closed_form(meas)
+        assert witness <= entry <= witness + CLOSED_FORM_MARGIN
+        assert library_top1(meas) == pytest.approx(entry, abs=1e-14)
+        assert brute_force_topk(meas, 1, grid) <= entry
+        assert omega_numeric(meas, restarts=10, seed=0).omega[0] >= entry
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_at_least_the_ascent(self, m):
+        # the 64-restart ascent ends 5e-12 (m = 2) and 1.5e-10 (m = 3) below it
+        meas = [o.povm() for o in mub_bases(5, m)]
+        entry, witness = top1_closed_form(meas)
+        assert witness <= entry <= witness + CLOSED_FORM_MARGIN
+        ascent = _max_topk(meas, {1: np.random.SeedSequence(0)}, 64)[1]
+        assert library_top1(meas) >= ascent
+        assert omega_numeric(meas, restarts=4, seed=0).omega[0] >= ascent
+
+    def test_census_finds_no_violation(self):
+        for name in ("xyz", "mub:3:3"):
+            meas = ASCENT_SETS[name]
+            bound = omega_numeric(meas, restarts=10, seed=0)
+            assert verify_majorization_bound(bound, meas, 10_000, seed=21).violations == 0
+
+    @pytest.mark.parametrize("name", UNATTAINED_SETS)
+    def test_unattained_closed_form_leaves_the_ascent(self, name):
+        meas = UNATTAINED_SETS[name]
+        entry, witness = top1_closed_form(meas)
+        assert witness < entry - CLOSED_FORM_MARGIN
+        assert library_top1(meas) is None
+        for seed in range(20):
+            bound = omega_numeric(meas, restarts=4, seed=seed)
+            assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+            assert np.array_equal(bound.omega.values, ascent_only_omega(meas, 4, seed).values)
+
+    @pytest.mark.parametrize("name", ["xyz", "mub:3:3", "mub:3:4", "mub:5:2", "qutrit-povm"])
+    def test_ascended_entries_match_the_ascent_of_every_k(self, name, monkeypatch):
+        # a single measurement's top-1 entry is its largest effect
+        # eigenvalue, attained by its eigenvector
+        meas = KERNEL_SETS.get(name) or ASCENT_SETS[name]
+        ascent = bounds._max_topk
+        ran = []
+
+        def recorded(*args):
+            ran.append(ascent(*args))
+            return ran[-1]
+
+        monkeypatch.setattr(bounds, "_max_topk", recorded)
+        skipped = set() if library_top1(meas) is None else {1}
+        assert skipped or name == "mub:3:4"
+        for seed in range(20):
+            omega_numeric(meas, restarts=10, seed=seed)
+            every_k = ascent(meas, every_k_seeds(meas, seed), 10)
+            assert set(ran[-1]) == set(every_k) - skipped
+            assert all(abs(value - every_k[k]) <= 1e-12 for k, value in ran[-1].items())
+
+    def test_over_budget_strings_take_the_ascent(self, monkeypatch):
+        # x/y/z's 8 outcome-string operators hold 32 entries
+        meas = ASCENT_SETS["xyz"]
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 31)
+        bound = omega_numeric(meas, restarts=10, seed=0)
+        assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+        assert np.array_equal(bound.omega.values, ascent_only_omega(meas, 10, 0).values)
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 32)
+        bound = omega_numeric(meas, restarts=10, seed=0)
+        assert bound.method == ANALYTIC_TOP1 and bound.certified_slack == 0.0
+
+    def test_cli_reports_the_proven_label(self, tmp_path):
+        xyz = ["pauli_x", "pauli_y", "pauli_z"]
+        config, report = tmp_path / "config.json", tmp_path / "report.json"
+        config.write_text(json.dumps({"scenario_kind": "bound_only",
+                                      "measurements": {"meas": xyz}}))
+        assert cli.run(str(config), json_path=str(report), seed=0, restarts=10, quiet=True) == 0
+        payload = json.loads(report.read_text())["bound_vector"]
+        assert payload["method"] == ANALYTIC_TOP1 and payload["certified_slack"] == 0.0
+        config.write_text(json.dumps({"scenario_kind": "entanglement", "flavor": "universal",
+                                      "state": "bell_phi_plus", "quantifier": "shannon",
+                                      "measurements": {"x": xyz}}))
+        assert cli.run(str(config), json_path=str(report), seed=0, restarts=10, quiet=True) == 2
+        (verdict,) = json.loads(report.read_text())["reports"]
+        assert verdict["verdict"] == "Detected" and verdict["certified"]
+
+
 class TestTensorStatsKernel:
     @pytest.mark.parametrize("name", KERNEL_SETS)
     def test_matches_born_stats_reference(self, name):
         meas = KERNEL_SETS[name]
         rng = np.random.default_rng(46)
         kets = np.array([random_ket(meas[0].dim, rng) for _ in range(20)])
-        probs, t = tensor_stats(kets, [np.array(p.effects) for p in meas])
+        probs, t = tensor_stats(kets, *flat_effects([np.array(p.effects) for p in meas]))
         for row, psi in enumerate(kets):
             state = DensityState(projector(psi))
             stats = [born_stats(state, p) for p in meas]

@@ -410,6 +410,21 @@ class TestSteeringTensorPath:
             )
             assert not any(r.detected for r in reports)
 
+    def test_non_state_tensor_rejected(self):
+        # diag(1, 1, 1, 1) has T[0,0] = 1 but encodes a matrix with
+        # eigenvalue -0.5; it used to come out a certified Detected
+        from uwit import BadParameter
+        from uwit.quantum import state_from_correlation_tensor
+
+        with pytest.raises(BadParameter, match="negative eigenvalue"):
+            state_from_correlation_tensor(np.eye(4))
+        with pytest.raises(BadParameter, match="negative eigenvalue"):
+            steering_fine_grained_tensor(np.eye(4), [(1, 0, 0), (0, 0, 1)])
+        t = correlation_tensor(maximally_mixed(4, dims=(2, 2)))
+        t[0, 0] = 2.0
+        with pytest.raises(BadParameter, match="trace"):
+            steering_fine_grained_tensor(t, [(1, 0, 0), (0, 0, 1)])
+
     def test_direction_validation(self):
         from uwit import BadParameter
 
