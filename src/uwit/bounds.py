@@ -371,8 +371,8 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
     :func:`_top1_closed_form` at k = 1 where a witness attains it, else the
     maximized sum of the k largest tensor-statistic entries plus a small
     slack, each k with its own restart seeds; the final cumulative entry is
-    pinned to 1.  A least concave majorant repairs any numeric non-monotonicity
-    in the increments.  With no k left to the ascent the vector is proven.
+    pinned to 1.  A least concave majorant repairs numeric non-monotone
+    increments.  Proven where the closed form leaves no k to ascend.
     """
     if restarts < 1:
         raise BadParameter("at least one restart is required")
@@ -392,11 +392,12 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
     cumulative = {} if top1 is None else {1: top1}
     maxima = _max_topk(meas, {k: s for k, s in seeds.items() if k not in cumulative}, restarts)
     cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
+    proven = top1 is not None and not maxima
     return BoundVector(
         omega=_omega_from_cumulative(list(cumulative.values()), tensor_size),
-        method=NUMERIC_TOPK if maxima else ANALYTIC_TOP1,
+        method=ANALYTIC_TOP1 if proven else NUMERIC_TOPK,
         measurement_fingerprint=fingerprint_povms(meas),
-        certified_slack=NUMERIC_SLACK if maxima else 0.0,
+        certified_slack=0.0 if proven else NUMERIC_SLACK,
     )
 
 

@@ -18,6 +18,7 @@ across runs.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -119,47 +120,54 @@ def _random_kets(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     return kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
-def _best_over_bloch(values: Callable[[np.ndarray], np.ndarray], zs: np.ndarray,
+def _topk_over_bloch(effects: np.ndarray, sizes: Sequence[int], k: int, zs: np.ndarray,
                      phis: np.ndarray) -> tuple[float, float, float]:
-    """Largest of ``values`` over the kets of the given Bloch grid points, and where."""
+    """Best top-k tensor-statistic sum over the given Bloch grid points."""
     z, phi = np.meshgrid(zs, phis, indexing="ij")
     z = z.ravel()
     phi = phi.ravel()
     half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
     kets = np.stack([np.cos(half), np.exp(1j * phi) * np.sin(half)], axis=1)
-    found = values(kets)
-    best = int(np.argmax(found))
-    return float(found[best]), float(z[best]), float(phi[best])
+    values = topk_sums(tensor_stats(kets, effects, sizes)[1], k)
+    best = int(np.argmax(values))
+    return float(values[best]), float(z[best]), float(phi[best])
 
 
-def _bloch_maximize(values: Callable[[np.ndarray], np.ndarray], grid_density: int) -> float:
-    """Maximize ``values`` over qubit kets: a stratified Bloch grid, then local zooms."""
+def _bloch_maximize(effects: np.ndarray, sizes: Sequence[int], k: int,
+                    grid_density: int) -> float:
+    """Stratified Bloch grid followed by local zoom refinements."""
     n = max(int(np.sqrt(grid_density)), 8)
     zs = 1.0 - 2.0 * (np.arange(n) + 0.5) / n
     phis = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    best, z0, phi0 = _best_over_bloch(values, zs, phis)
+    best, z0, phi0 = _topk_over_bloch(effects, sizes, k, zs, phis)
     dz = 2.0 / n
     dphi = 2.0 * np.pi / n
     for _ in range(3):
         zs = np.clip(np.linspace(z0 - 2 * dz, z0 + 2 * dz, 41), -1.0, 1.0)
         phis = np.linspace(phi0 - 2 * dphi, phi0 + 2 * dphi, 41)
-        value, z0, phi0 = _best_over_bloch(values, zs, phis)
+        value, z0, phi0 = _topk_over_bloch(effects, sizes, k, zs, phis)
         best = max(best, value)
         dz /= 10.0
         dphi /= 10.0
     return best
 
 
-def _qutrit_maximize(values: Callable[[np.ndarray], np.ndarray], grid_density: int) -> float:
-    """Maximize ``values`` over qutrit kets: seeded sampling, then shrinking perturbations."""
+def _qutrit_maximize(effects: np.ndarray, sizes: Sequence[int], k: int,
+                     grid_density: int) -> float:
+    """Seeded unit-vector sampling with shrinking local perturbations."""
     rng = np.random.default_rng(grid_density)
-    kets = _random_kets(rng, grid_density, 3)
+    dim = math.isqrt(effects.shape[1])
+
+    def values(kets: np.ndarray) -> np.ndarray:
+        return topk_sums(tensor_stats(kets, effects, sizes)[1], k)
+
+    kets = _random_kets(rng, grid_density, dim)
     samples = values(kets)
     best = int(np.argmax(samples))
     best_val, best_psi = float(samples[best]), kets[best]
     scale = 0.3
     for _ in range(6):
-        for noise in _complex_normals(rng, 200, 3):
+        for noise in _complex_normals(rng, 200, dim):
             cand = best_psi + scale * noise
             cand = cand / np.linalg.norm(cand)
             v = float(values(cand[None])[0])
@@ -182,18 +190,14 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
         raise BadParameter("k and the grid density must be at least 1")
     dim = meas[0].dim
     effects, sizes = flat_effects([np.array(p.effects) for p in meas])
-
-    def values(kets: np.ndarray) -> np.ndarray:
-        return topk_sums(tensor_stats(kets, effects, sizes)[1], k)
-
     if dim == 2:
-        return _bloch_maximize(values, grid_density)
+        return _bloch_maximize(effects, sizes, k, grid_density)
     if dim == 3:
         if grid_density > MAX_QUTRIT_GRID:
             raise BadParameter(
                 f"qutrit grid density {grid_density} exceeds the limit of {MAX_QUTRIT_GRID}"
             )
-        return _qutrit_maximize(values, grid_density)
+        return _qutrit_maximize(effects, sizes, k, grid_density)
     raise BadParameter(f"brute force supports dimension 2 or 3, got {dim}")
 
 
@@ -205,8 +209,7 @@ def cross_check_fine_grained(meas: Sequence[Povm], outcomes: Sequence[str],
     eigen_value = fine_grained_bound(meas, outcomes, priors).value
     effects = [p.effect_for(label) for p, label in zip(meas, outcomes)]
     combined = sum(w * e for w, e in zip(priors.values, effects))
-    flat = flat_effects([combined[None]])
-    grid_value = _bloch_maximize(lambda kets: tensor_stats(kets, *flat)[1][:, 0], grid_density)
+    grid_value = _bloch_maximize(*flat_effects([combined[None]]), 1, grid_density)
     return eigen_value, grid_value
 
 

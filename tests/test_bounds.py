@@ -459,10 +459,19 @@ class TestOmegaNumeric:
             got = ascent_only_omega(meas, reference["restarts"], seed).values
             assert np.max(np.abs(got[:len(want)] - want)) <= 1e-9
             assert np.all(got[len(want):] == 0.0)
-        # omega_numeric's k = 1 entry is the closed form; for x/y/z it lies
-        # under the chord to the pinned top-2 entry, as the ascent's did
-        bound = omega_numeric(meas, restarts=reference["restarts"], seed=0)
-        if name != "x/y/z":
+        if name == "x/y/z":
+            # the closed-form top-1 entry lies under the chord to the pinned
+            # top-2 entry, so omega_numeric's proven vector is the reference
+            assert top1_closed_form(meas)[0] < sum(reference["omega"][name][0]) / 2
+            for seed, want in enumerate(reference["omega"][name]):
+                bound = omega_numeric(meas, restarts=reference["restarts"], seed=seed)
+                assert bound.method == ANALYTIC_TOP1
+                got = bound.omega.values
+                assert np.max(np.abs(got[:len(want)] - want)) <= 1e-9
+                assert np.all(got[len(want):] == 0.0)
+        else:
+            # omega_numeric's k = 1 entry is the closed form
+            bound = omega_numeric(meas, restarts=reference["restarts"], seed=0)
             assert bound.omega[0] == pytest.approx(top1_closed_form(meas)[0], abs=1e-14)
 
     def test_concave_majorant_repair(self):
@@ -610,6 +619,13 @@ class TestTopOneClosedForm:
         monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 32)
         bound = omega_numeric(meas, restarts=10, seed=0)
         assert bound.method == ANALYTIC_TOP1 and bound.certified_slack == 0.0
+
+    def test_no_k_without_the_closed_form_keeps_the_numeric_label(self):
+        # one-effect measurements leave no k, so no closed form is taken
+        trivial = Povm((np.eye(2, dtype=complex),), ("1",))
+        bound = omega_numeric([trivial, trivial], restarts=4, seed=0)
+        assert np.array_equal(bound.omega.values, [1.0])
+        assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
 
     def test_cli_reports_the_proven_label(self, tmp_path):
         xyz = ["pauli_x", "pauli_y", "pauli_z"]
