@@ -26,7 +26,6 @@ from .bounds import (
     fingerprint_povms,
     maassen_uffink,
     matched_outcome_events,
-    mub_fine_grained_bound,
     omega_numeric,
     omega_two_bases,
     omega_two_dichotomic,

@@ -32,7 +32,9 @@ Two bound families are computed here:
   settings.  Over all states this is exactly the top eigenvalue of the
   prior-weighted effect sum; over product states on a bipartite split it is
   estimated with alternating eigenvector iterations, all restarts again
-  advancing as one batch.
+  advancing as one batch.  One kernel, ``_string_eigenpairs``, builds and
+  solves the effect sums of a batch of outcome strings, weighted by the
+  priors here and by 1 for the top-1 closed form.
 
 Closed-form entries are rounded outward by half of ``CLOSED_FORM_MARGIN``.
 Numeric bounds are inflated by a small slack, ``NUMERIC_SLACK``, before
@@ -341,6 +343,26 @@ def _omega_from_cumulative(cumulative: Sequence[float], tensor_size: int) -> Pro
     return ProbVec(omega)
 
 
+def _string_eigenpairs(stacks: Sequence[np.ndarray], weights: Sequence[float],
+                       strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpairs of sum_i weights[i] E_{i, s_i}, one for each row s of ``strings``.
+
+    ``stacks`` holds the (n_i, d, d) effects and ``strings`` is an (S, m)
+    array of outcome indices; one batched ``eigh`` per ``_BLOCK_ENTRIES``
+    operator entries.
+    """
+    d = stacks[0].shape[1]
+    step = max(1, _BLOCK_ENTRIES // (d * d))
+    values, vectors = [], []
+    for s in range(0, len(strings), step):
+        chunk = strings[s:s + step]
+        ops = sum(weight * e[chunk[:, i]] for i, (weight, e) in enumerate(zip(weights, stacks)))
+        w, v = np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
+        values.append(w[:, -1])
+        vectors.append(v[:, :, -1])
+    return np.concatenate(values), np.concatenate(vectors)
+
+
 def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
     """The top-1 entry from the uniform fine-grained bound, where a witness state attains it.
 
@@ -353,14 +375,12 @@ def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> float | None
     m, d = len(sizes), math.isqrt(effects.shape[1])
     if math.prod(sizes) * d * d > _BLOCK_ENTRIES:
         return None
-    # every O_s at once: measurement i's effects broadcast along axis i
-    parts = np.split(effects.reshape(-1, d, d), np.cumsum(sizes)[:-1])
-    ops = sum(e.reshape((1,) * i + (len(e),) + (1,) * (m - i - 1) + (d, d))
-              for i, e in enumerate(parts)).reshape(-1, d, d)
-    w, v = np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)
-    best = int(w[:, -1].argmax())
-    entry = float((w[best, -1] / m) ** m) + CLOSED_FORM_MARGIN / 2.0
-    witness = tensor_stats(v[best, :, -1][None], effects, sizes)[1].max()
+    stacks = np.split(effects.reshape(-1, d, d), np.cumsum(sizes)[:-1])
+    strings = np.indices(sizes).reshape(m, -1).T
+    values, vectors = _string_eigenpairs(stacks, np.ones(m), strings)
+    best = int(values.argmax())
+    entry = float((values[best] / m) ** m) + CLOSED_FORM_MARGIN / 2.0
+    witness = tensor_stats(vectors[best][None], effects, sizes)[1].max()
     return entry if witness >= entry - CLOSED_FORM_MARGIN else None
 
 
@@ -542,23 +562,22 @@ def _fine_grained_bounds(meas: Sequence[Povm], strings: Sequence[tuple[str, ...]
     dim = meas[0].dim
     if any(p.dim != dim for p in meas):
         raise DimensionMismatch("all measurements must act on one common dimension")
+    rows = np.array([[_outcome_index(p, label) for p, label in zip(meas, labels)]
+                     for labels in strings])
+    values, vectors = _string_eigenpairs([np.array(p.effects) for p in meas], priors.values, rows)
     fingerprints = outcome_string_fingerprints(meas, strings)
-    bounds = {}
-    for labels in strings:
-        op = np.zeros((dim, dim), dtype=complex)
-        for w, povm, label in zip(priors.values, meas, labels):
-            op += w * povm.effect_for(label)
-        w_all, v_all = np.linalg.eigh((op + op.conj().T) / 2.0)
-        bounds[labels] = FineGrainedBound(
-            value=float(w_all[-1]),
+    return {
+        labels: FineGrainedBound(
+            value=float(value),
             outcome_string=labels,
             priors=priors,
-            operator_norm_witness=v_all[:, -1].copy(),
+            operator_norm_witness=witness,
             measurement_fingerprint=fingerprints[labels],
             method=EIGEN_EXACT,
             certified_slack=0.0,
         )
-    return bounds
+        for labels, value, witness in zip(strings, values, vectors)
+    }
 
 
 def fine_grained_bound(meas: Sequence[Povm], outcome_string: Sequence[str],
@@ -711,10 +730,3 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
         method=ALTERNATING_NUMERIC,
         certified_slack=NUMERIC_SLACK,
     )
-
-
-def mub_fine_grained_bound(d: int, m: int) -> float:
-    """Fine-grained bound (1/d)(1 + (d - 1)/sqrt(m)) for m mutually unbiased bases."""
-    if d < 2 or m < 2:
-        raise BadParameter("need dimension >= 2 and at least two bases")
-    return (1.0 / d) * (1.0 + (d - 1) / np.sqrt(m))

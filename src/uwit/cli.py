@@ -35,11 +35,12 @@ from .bounds import (
     setting_pairs,
 )
 from .criteria import (
+    BOB_DIRECTIONS,
     DetectionReport,
     entanglement_fine_grained,
     entanglement_universal,
     steering_fine_grained,
-    steering_fine_grained_tensor,
+    steering_fine_grained_strings,
     steering_universal,
 )
 from .errors import ConfigParse, UwitError
@@ -57,7 +58,7 @@ from .quantum import (
     Observable,
     Povm,
     bell_phi_plus,
-    correlation_tensor,
+    bloch_observable,
     isotropic,
     maximally_mixed,
     mub_bases,
@@ -92,6 +93,7 @@ PRESETS: dict[str, dict] = {
 
 # Upper limits on the work a config can ask for.
 MAX_SCAN_POINTS = 10_000
+MAX_REPORTS = 10**5      # reports of one criterion on one state
 MAX_ORACLE_SAMPLES = 10**6
 MAX_ORACLE_GRID = 10**6
 
@@ -244,10 +246,19 @@ def _steering_universal(config: dict, restarts: int, seed: int):
     return lambda state: [steering_universal(assemblage(state), bob, None, q, bound)]
 
 
+def _limit_reports(meas) -> None:
+    """Refuse more than ``MAX_REPORTS`` reports per state, the product of the outcome counts."""
+    reports = math.prod(p.n_outcomes for p in meas)
+    if reports > MAX_REPORTS:
+        raise ConfigParse(f"criterion would make {reports} reports per state, "
+                          f"more than the limit of {MAX_REPORTS}")
+
+
 def _steering_fine_grained(config: dict, restarts: int, seed: int):
     meas = _field(config, "measurements")
     assemblage = _steered(config, meas)
     bob = _measurements(_field(meas, "bob"))
+    _limit_reports(bob)  # the matching game has one Alice column per Bob string
     outcomes = _field(config, "outcomes", tuple)
     priors = _field(config, "priors", ProbVec, None) or uniform(len(bob))
     bounds = fine_grained_bound_map(bob, priors)
@@ -255,9 +266,12 @@ def _steering_fine_grained(config: dict, restarts: int, seed: int):
 
 
 def _steering_fine_grained_tensor(config: dict, restarts: int, seed: int):
-    alice = _field(config, "alice_directions", _vectors)
-    bob = _field(config, "bob_directions", _vectors, None)
-    return lambda state: steering_fine_grained_tensor(correlation_tensor(state), alice, bob)
+    alice = [bloch_observable(v) for v in _field(config, "alice_directions", _vectors)]
+    bob = [bloch_observable(v) for v in _field(config, "bob_directions", _vectors, BOB_DIRECTIONS)]
+    _limit_reports(alice + bob)  # every Alice column for each of Bob's strings
+    priors = uniform(len(bob))
+    bounds = fine_grained_bound_map(bob, priors)
+    return lambda state: steering_fine_grained_strings(steer(state, alice), bob, priors, bounds)
 
 
 _CRITERIA = {
@@ -450,7 +464,8 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
         )
 
     if reports:
-        payload["reports"] = [asdict(r) for r in reports]
+        # reports hold only scalars, so a shallow field dict serializes as asdict does
+        payload["reports"] = [dict(vars(r)) for r in reports]
         if not quiet:
             _print_reports(reports)
     if json_path:

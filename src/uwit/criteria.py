@@ -18,6 +18,9 @@ models.  A local-hidden-state model picks Alice's announcement separately
 for each setting, so a column can reach every one of Bob's outcome strings;
 the sound bound is therefore one number, the largest fine-grained bound over
 all of Bob's outcome strings, whatever the column or the configured string.
+Each report's column names Bob's string and Alice's, ``a=..., a'=...``.
+``steering_fine_grained`` is the only evaluation of this game; the paper's
+two-qubit correlation-tensor form (its Eq. 12) runs it on the tensor's state.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemblage import Assemblage, conditional_stats
+from .assemblage import Assemblage, conditional_stats, steer
 from .bounds import (
     BoundVector,
     FineGrainedBound,
@@ -45,13 +48,14 @@ from .errors import (
     FingerprintMismatch,
     UnsoundQuantifier,
 )
-from .probvec import ProbVec
+from .probvec import ProbVec, uniform
 from .quantifier import Quantifier
 from .quantum import DensityState, Observable, Povm, bloch_observable, product_observable_stats
 from .quantum import state_from_correlation_tensor
 from .quantum import _outcome_index, _steered, _traces
 
 DETECTION_MARGIN = 1e-9
+BOB_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 DETECTED = "Detected"
 NOT_DETECTED = "NotDetected"
 
@@ -192,28 +196,17 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
     )
 
 
-def _check_fine_grained_bound(bound: FineGrainedBound, labels: tuple[str, ...],
-                              fingerprint: str, priors_bob: ProbVec) -> None:
-    if bound.measurement_fingerprint != fingerprint:
-        raise FingerprintMismatch(
-            f"bound for {labels} was not generated from Bob's measurements and that string"
-        )
-    if bound.priors.dim != priors_bob.dim or not np.allclose(
-        bound.priors.values, priors_bob.values, atol=1e-12
-    ):
-        raise FingerprintMismatch("bound was generated under different priors")
-
-
 def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
                           outcomes: Sequence[str], priors_bob: ProbVec,
                           bounds) -> list[DetectionReport]:
     """Fine-grained steering criteria, one report per Alice outcome column.
 
     Bob's measurement i is paired with Alice's setting i.  For the column
-    with Alice string a' (and the configured Bob string a), the score is the
-    prior-weighted joint probability that Bob's outcome matches Alice's
-    announcement under the translation aligning a'_i with a_i.  Exceeding
-    the fine-grained bound certifies steering.
+    with Alice string a' and the configured Bob string a, both named in the
+    report's ``column``, the score is the prior-weighted joint probability
+    that Bob's outcome matches Alice's announcement under the translation
+    aligning a'_i with a_i.  Exceeding the fine-grained bound certifies
+    steering.
 
     ``bounds`` maps every one of Bob's outcome strings (tuples of labels) to
     its :class:`FineGrainedBound`, as :func:`fine_grained_bound_map` builds
@@ -236,6 +229,7 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
                 "matching game needs Alice outcome counts equal to Bob's"
             )
     bob_idx = [_outcome_index(povm, label) for povm, label in zip(bob_meas, outcomes)]
+    bob_string = tuple(povm.outcome_labels[b] for povm, b in zip(bob_meas, bob_idx))
 
     if not isinstance(bounds, Mapping):
         raise BadParameter("bounds must map every Bob outcome string to its bound")
@@ -246,8 +240,17 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     for labels in strings:
         if labels not in bound_map:
             raise BadParameter(f"no bound supplied for outcome string {labels}")
-        _check_fine_grained_bound(bound_map[labels], labels, fingerprints[labels], priors_bob)
+        if bound_map[labels].measurement_fingerprint != fingerprints[labels]:
+            raise FingerprintMismatch(
+                f"bound for {labels} was not generated from Bob's measurements and that string"
+            )
         used.append(bound_map[labels])
+    # np.allclose(bound priors, priors_bob, atol=1e-12) for every bound at once
+    tol = 1e-12 + 1e-5 * np.abs(priors_bob.values)
+    if any(b.priors.dim != priors_bob.dim for b in used) or not (
+        np.abs(np.array([b.priors.values for b in used]) - priors_bob.values) <= tol
+    ).all():
+        raise FingerprintMismatch("bound was generated under different priors")
     bound_value = max(b.value for b in used)
     certified = all(b.certified for b in used)
     reports: list[DetectionReport] = []
@@ -259,10 +262,11 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
         sigmas = np.array([asm.elements[(setting, alpha)] for alpha in labels])
         traces = _traces(np.array(povm.effects), sigmas).tolist()
         scores.append([sum(traces[(a + t) % d][(b + t) % d] for t in range(d)) for a in range(d)])
+    weights = priors_bob.values.tolist()
     for alice_string in itertools.product(range(d), repeat=m):
         lhs = 0.0
         for i, a in enumerate(alice_string):
-            lhs += priors_bob.values[i] * scores[i][a]
+            lhs += weights[i] * scores[i][a]
         margin = lhs - bound_value
         column_labels = tuple(alice_label_sets[i][alice_string[i]] for i in range(m))
         reports.append(
@@ -273,67 +277,32 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
                 margin=float(margin),
                 verdict=_verdict(margin),
                 certified=certified,
-                column=f"a'={column_labels}",
+                column=f"a={bob_string}, a'={column_labels}",
             )
         )
     return reports
 
 
+def steering_fine_grained_strings(asm: Assemblage, bob_meas: Sequence[Povm], priors_bob: ProbVec,
+                                  bounds) -> list[DetectionReport]:
+    """:func:`steering_fine_grained` for each of Bob's outcome strings, in product order."""
+    return [report for labels in itertools.product(*(p.outcome_labels for p in bob_meas))
+            for report in steering_fine_grained(asm, bob_meas, labels, priors_bob, bounds)]
+
+
 def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
                                  bob_directions: Sequence | None = None,
                                  priors: ProbVec | None = None) -> list[DetectionReport]:
-    """Qubit fine-grained steering evaluated directly from a correlation tensor.
+    """Qubit fine-grained steering of the state a correlation tensor encodes.
 
-    Enumerates every sign combination of Alice and Bob outcome strings for
-    the configured measurement directions (Bob defaults to x and z), scoring
-    each column as the prior-weighted matched-outcome probability obtained
-    from the spatial block of the tensor, against the largest fine-grained
-    bound over all of Bob's outcome strings.  A tensor that encodes no
-    state (a matrix that is not PSD or of trace one) raises.  Reproduces
-    the state-path evaluation from the tensor.
+    The paper's Eq. 12: :func:`steering_fine_grained_strings` with Bloch
+    observables along the measurement directions (Bob's default to x and z)
+    and uniform priors unless given.  A tensor that encodes no state (a
+    matrix that is not PSD or of trace one) raises.
     """
-    t = np.asarray(t, dtype=float)
-    # the tensor is validated once, as the two-qubit state it encodes
-    state_from_correlation_tensor(t)
-    alice = [np.asarray(s, dtype=float) for s in alice_directions]
-    if bob_directions is None:
-        bob_directions = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
-    bob = [np.asarray(r, dtype=float) for r in bob_directions]
-    for v in alice + bob:
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise BadParameter("measurement directions must be unit 3-vectors")
-    m = len(bob)
-    if len(alice) != m:
-        raise DimensionMismatch("one Alice direction per Bob direction is required")
-    if priors is None:
-        priors = ProbVec(np.full(m, 1.0 / m))
-    if priors.dim != m:
-        raise DimensionMismatch("one prior per Bob measurement is required")
-    spatial = t[1:, 1:]
-    correlators = [float(alice[i] @ spatial @ bob[i]) for i in range(m)]
-
-    bob_povms = [bloch_observable(tuple(r)) for r in bob]
-    bound_value = max(b.value for b in fine_grained_bound_map(bob_povms, priors).values())
-
-    reports: list[DetectionReport] = []
-    for bob_string in itertools.product((0, 1), repeat=m):
-        for alice_string in itertools.product((0, 1), repeat=m):
-            lhs = sum(
-                priors.values[i]
-                * 0.5
-                * (1.0 + (-1.0) ** (bob_string[i] + alice_string[i]) * correlators[i])
-                for i in range(m)
-            )
-            margin = lhs - bound_value
-            reports.append(
-                DetectionReport(
-                    criterion="steering_fine_grained_tensor",
-                    lhs_value=float(lhs),
-                    bound_value=float(bound_value),
-                    margin=float(margin),
-                    verdict=_verdict(margin),
-                    certified=True,
-                    column=f"a={bob_string}, a'={alice_string}",
-                )
-            )
-    return reports
+    state = state_from_correlation_tensor(t)
+    bob_directions = BOB_DIRECTIONS if bob_directions is None else bob_directions
+    bob = [bloch_observable(r) for r in bob_directions]
+    priors = uniform(len(bob)) if priors is None else priors
+    asm = steer(state, [bloch_observable(s) for s in alice_directions])
+    return steering_fine_grained_strings(asm, bob, priors, fine_grained_bound_map(bob, priors))

@@ -31,7 +31,6 @@ from uwit import (
     make_probvec,
     maximally_mixed,
     mub_bases,
-    mub_fine_grained_bound,
     maassen_uffink,
     omega_numeric,
     omega_two_dichotomic,
@@ -107,7 +106,8 @@ def test_fine_grained_bound_exactness():
         assert abs(eigen - grid) <= 1e-6
         mub_povms = [o.povm() for o in mub_bases(2, 3)]
         triple = fine_grained_bound(mub_povms, ("0", "0", "0"), uniform(3))
-        assert abs(triple.value - mub_fine_grained_bound(2, 3)) <= 1e-9
+        # (1/d)(1 + (d - 1)/sqrt(m)) for m = 3 qubit MUBs
+        assert abs(triple.value - (1 + 1 / np.sqrt(3)) / 2) <= 1e-9
         assert abs(triple.value - 0.788675) <= 1e-6
 
 
@@ -294,17 +294,16 @@ def test_tensor_path_equivalence():
             )
             asm = steer(state, XZ_POVMS)
             by_column = {r.column: r.lhs_value for r in tensor_reports}
-            for bob_string in itertools.product((0, 1), repeat=2):
-                labels = (
-                    XZ_POVMS[0].outcome_labels[bob_string[0]],
-                    XZ_POVMS[1].outcome_labels[bob_string[1]],
-                )
+            compared = 0
+            for labels in itertools.product(("+", "-"), ("0", "1")):
                 state_reports = steering_fine_grained(
                     asm, XZ_POVMS, labels, HALF, fg_bounds
                 )
-                for alice_string, report in zip(
-                    itertools.product((0, 1), repeat=2), state_reports
-                ):
-                    key = f"a={bob_string}, a'={alice_string}"
+                for report in state_reports:
+                    # the tensor path labels both Bloch observables +/-, and
+                    # z's "0"/"1" are its "+"/"-"
+                    key = report.column.translate(str.maketrans("01", "+-"))
                     worst = max(worst, abs(by_column[key] - report.lhs_value))
+                    compared += 1
+            assert compared == len(tensor_reports) == 16
         assert worst <= 1e-8, f"worst lhs gap {worst:.3e}"

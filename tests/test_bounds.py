@@ -26,7 +26,6 @@ from uwit import (
     majorized_by,
     maximally_mixed,
     mub_bases,
-    mub_fine_grained_bound,
     observable_from_matrix,
     omega_numeric,
     omega_two_bases,
@@ -68,6 +67,11 @@ SX = pauli_observable("x")
 SY = pauli_observable("y")
 SZ = pauli_observable("z")
 GAMMA1 = (3 + 2 * np.sqrt(2)) / 8
+
+
+def mub_fine_grained_bound(d: int, m: int) -> float:
+    """Reference fine-grained bound (1/d)(1 + (d - 1)/sqrt(m)) for m mutually unbiased bases."""
+    return (1.0 / d) * (1.0 + (d - 1) / np.sqrt(m))
 
 
 class TestOmegaTwoDichotomic:
@@ -738,12 +742,30 @@ class TestFineGrained:
         fb = fine_grained_bound(povms, ("0", "0", "0"), uniform(3))
         assert fb.value == pytest.approx(mub_fine_grained_bound(2, 3), abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["xyz", "mub:3:2", "mub:3:3", "qutrit-povm-pair"])
+    def test_map_matches_per_string_eigh(self, name, monkeypatch):
+        # every bound of the batched kernel against one eigh per string,
+        # whole and in chunks of two strings
+        meas = (KERNEL_SETS | UNATTAINED_SETS)[name]
+        priors = make_probvec(np.random.default_rng(77).dirichlet(np.ones(len(meas))))
+        d = meas[0].dim
+        maps = [fine_grained_bound_map(meas, priors)]
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 2 * d * d)
+        maps.append(fine_grained_bound_map(meas, priors))
+        for labels in itertools.product(*(p.outcome_labels for p in meas)):
+            op = sum(w * p.effect_for(label) for w, p, label in zip(priors.values, meas, labels))
+            w, v = np.linalg.eigh((op + op.conj().T) / 2.0)
+            for bound_map in maps:
+                bound = bound_map[labels]
+                assert bound.value == pytest.approx(w[-1], abs=1e-14)
+                overlap = abs(np.vdot(v[:, -1], bound.operator_norm_witness))
+                assert overlap == pytest.approx(1.0, abs=1e-12)
+                assert fine_grained_bound(meas, labels, priors).value == bound.value
+
     def test_mub_formula(self):
         assert mub_fine_grained_bound(2, 2) == pytest.approx(0.5 + 1 / (2 * np.sqrt(2)))
         assert mub_fine_grained_bound(2, 3) == pytest.approx(0.788675, abs=1e-6)
         assert mub_fine_grained_bound(3, 2) == pytest.approx((1 + 2 / np.sqrt(2)) / 3, abs=1e-12)
-        with pytest.raises(BadParameter):
-            mub_fine_grained_bound(1, 2)
 
 
 class TestFineGrainedProduct:

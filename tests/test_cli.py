@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -23,6 +24,7 @@ from uwit import cli
 from uwit.assemblage import matrix_to_json
 from uwit.quantum import projector
 from uwit.cli import PRESETS, load_config, main, run
+from uwit.criteria import DetectionReport
 from uwit.errors import ConfigParse
 from uwit.oracle import MAX_QUTRIT_GRID
 
@@ -253,6 +255,22 @@ class TestPresets:
     def test_eq12_detects(self):
         assert run("preset:paper-eq12", quiet=True) == 2
 
+    def test_eq12_reports_every_bob_string_on_the_state_path(self, tmp_path, monkeypatch):
+        validations = []
+        post_init = DensityState.__post_init__
+        monkeypatch.setattr(DensityState, "__post_init__",
+                            lambda state: (validations.append(state), post_init(state))[1])
+        out = tmp_path / "eq12.json"
+        assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
+        # the preset's state is validated once, with no tensor round trip
+        assert len(validations) == 1
+        reports = json.loads(out.read_text())["reports"]
+        assert {r["criterion"] for r in reports} == {"steering_fine_grained"}
+        signs = [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
+        assert [r["column"] for r in reports] == [f"a={b}, a'={a}" for b in signs for a in signs]
+        detected = [b == a for b in signs for a in signs]
+        assert [r["verdict"] == "Detected" for r in reports] == detected
+
     def test_presets_clean_on_maximally_mixed(self):
         for preset in ("paper-example-1", "paper-example-2", "paper-eq12"):
             assert run(f"preset:{preset}", state_override="maximally_mixed:4", quiet=True) == 0
@@ -285,6 +303,8 @@ class TestReports:
         assert payload["tool"]["name"] == "uwit"
         assert len(payload["config_fingerprint"]) == 64
         assert report["certified"] is True
+        # every field of the report, in declaration order
+        assert list(report) == [f.name for f in dataclasses.fields(DetectionReport)]
 
     def test_quiet_suppresses_text(self, capsys):
         run("preset:paper-example-1", quiet=True)
@@ -597,6 +617,24 @@ MALFORMED = {
         "fine_grained_entanglement", ("outcomes",), {"a": ["+"], "b": ["+", "0"]}
     ),
 }
+
+
+TWELVE_DIRECTIONS = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] * 6
+# Requests past MAX_REPORTS reports per state, refused before any bound is
+# built: 7^8 Alice columns, and 2^12 columns for each of 2^12 Bob strings
+OVERSIZED = {
+    "fine-grained-mub-7-8": lambda: mutated(base_config("fine_grained_steering"), (
+        "measurements",), {"alice": "mub:7:8", "bob": "mub:7:8"}),
+    "tensor-12-directions": lambda: base_config("preset:paper-eq12") | {
+        "alice_directions": TWELVE_DIRECTIONS, "bob_directions": TWELVE_DIRECTIONS},
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_request_exits_1(tmp_path, capsys, name):
+    assert main([write_config(tmp_path, OVERSIZED[name]())]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"limit of {cli.MAX_REPORTS}" in err
 
 
 @pytest.mark.parametrize("name", MALFORMED)

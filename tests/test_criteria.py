@@ -266,7 +266,7 @@ class TestSteeringFineGrained:
         asm = steer(bell_phi_plus(), XZ_POVMS)
         reports = steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, xz_bound_map())
         by_column = {r.column: r for r in reports}
-        top = by_column["a'=('+', '0')"]
+        top = by_column["a=('+', '0'), a'=('+', '0')"]
         assert top.lhs_value == pytest.approx(1.0, abs=1e-9)
         assert top.bound_value == pytest.approx(0.5 + 1 / (2 * np.sqrt(2)), abs=1e-12)
         assert top.detected
@@ -350,6 +350,21 @@ class TestSteeringFineGrained:
         with pytest.raises(BadParameter, match=r"\('-', '1'\)"):
             steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
 
+    def test_bounds_of_other_priors_or_measurements_rejected(self):
+        asm = steer(bell_phi_plus(), XZ_POVMS)
+        # np.allclose(atol=1e-12, rtol=1e-5) on the priors: a 1e-6 shift
+        # passes, a 1e-4 shift in any one string's bound does not
+        near = fine_grained_bound_map(XZ_POVMS, make_probvec((0.5 + 1e-6, 0.5 - 1e-6)))
+        assert len(steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, near)) == 4
+        far = fine_grained_bound_map(XZ_POVMS, make_probvec((0.5001, 0.4999)))
+        for bounds in (far, xz_bound_map() | {("-", "1"): far[("-", "1")]}):
+            with pytest.raises(FingerprintMismatch, match="different priors"):
+                steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
+        bounds = xz_bound_map()
+        bounds[("-", "1")] = dataclasses.replace(bounds[("-", "1")], measurement_fingerprint="0")
+        with pytest.raises(FingerprintMismatch, match=r"\('-', '1'\)"):
+            steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
+
     def test_unknown_outcome_label_rejected(self):
         asm = steer(bell_phi_plus(), XZ_POVMS)
         with pytest.raises(BadParameter, match="unknown outcome"):
@@ -379,16 +394,17 @@ class TestSteeringTensorPath:
             tensor_reports = steering_fine_grained_tensor(t, directions)
             asm = steer(state, XZ_POVMS)
             bounds = xz_bound_map()
-            for bob_string in itertools.product((0, 1), repeat=2):
-                labels = (
-                    XZ_POVMS[0].outcome_labels[bob_string[0]],
-                    XZ_POVMS[1].outcome_labels[bob_string[1]],
-                )
+            for labels in itertools.product(("+", "-"), ("0", "1")):
                 state_reports = steering_fine_grained(asm, XZ_POVMS, labels, HALF, bounds)
+                # the tensor path labels both Bloch observables +/-, and z's
+                # "0"/"1" are its "+"/"-"
+                tensor_labels = (labels[0], "+-"[int(labels[1])])
                 matching = [
-                    r for r in tensor_reports if r.column.startswith(f"a={bob_string}")
+                    r for r in tensor_reports if r.column.startswith(f"a={tensor_labels},")
                 ]
+                assert len(state_reports) == len(matching) == 4
                 for sr, tr in zip(state_reports, matching):
+                    assert tr.column == sr.column.translate(str.maketrans("01", "+-"))
                     assert sr.lhs_value == pytest.approx(tr.lhs_value, abs=1e-8)
 
     def test_product_states_never_detected(self):

@@ -11,7 +11,6 @@ from uwit import (
     entanglement_universal,
     make_probvec,
     mub_bases,
-    mub_fine_grained_bound,
     omega_two_dichotomic,
     omega_numeric,
     pauli_observable,
@@ -207,7 +206,8 @@ class TestCrossCheck:
     def test_mub_triple(self):
         meas = [o.povm() for o in mub_bases(2, 3)]
         eigen, grid = cross_check_fine_grained(meas, ("0", "0", "0"), uniform(3), 100_000)
-        assert eigen == pytest.approx(mub_fine_grained_bound(2, 3), abs=1e-9)
+        # (1/d)(1 + (d - 1)/sqrt(m)) for m = 3 qubit MUBs
+        assert eigen == pytest.approx((1 + 1 / np.sqrt(3)) / 2, abs=1e-9)
         assert abs(eigen - grid) < 1e-6
 
 
