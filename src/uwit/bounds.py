@@ -13,7 +13,8 @@ Two bound families are computed here:
   every k when d <= 3 (``omega_two_bases``; ``omega_two_dichotomic`` is its
   d = 2 case).  For more measurements the top-1 entry is the m-th power of
   the uniform-prior fine-grained bound wherever a witness state attains it
-  (``_top1_closed_form``), and every other top-k entry is obtained by
+  (``_top1_closed_form``), no ascent runs where it and the top-2 cap show
+  none could change omega, and every other top-k entry is obtained by
   maximizing the sum of the k largest tensor statistics over pure states
   with multi-restart projected gradient ascent.  The restarts of every k
   advance together in one loop, as one (K R, d) stack of kets whose rows
@@ -30,11 +31,10 @@ Two bound families are computed here:
 
 * Fine-grained bounds B for one outcome per measurement under a prior over
   settings.  Over all states this is exactly the top eigenvalue of the
-  prior-weighted effect sum; over product states on a bipartite split it is
-  estimated with alternating eigenvector iterations, all restarts again
-  advancing as one batch.  One kernel, ``_string_eigenpairs``, builds and
-  solves the effect sums of a batch of outcome strings, weighted by the
-  priors here and by 1 for the top-1 closed form.
+  prior-weighted effect sum; over product states it is the Hilbert-Schmidt
+  bound where a witness attains it, else alternating eigenvector iterations
+  with all restarts in one batch.  One kernel, ``_string_eigenpairs``,
+  solves the effect sums of outcome strings, weighted by the priors or 1.
 
 Closed-form entries are rounded outward by half of ``CLOSED_FORM_MARGIN``.
 Numeric bounds are inflated by a small slack, ``NUMERIC_SLACK``, before
@@ -74,6 +74,7 @@ NUMERIC_TOPK = "numeric_topk"
 ANALYTIC_TOP1 = "analytic_top1"
 EIGEN_EXACT = "eigen_exact"
 ALTERNATING_NUMERIC = "alternating_numeric"
+ANALYTIC_PRODUCT = "analytic_product"
 
 
 def _measurement_hash(povms: Sequence[Povm]):
@@ -137,7 +138,7 @@ class FineGrainedBound:
 
     @property
     def certified(self) -> bool:
-        return self.method == EIGEN_EXACT or self.certified_slack > 0.0
+        return self.method in (EIGEN_EXACT, ANALYTIC_PRODUCT) or self.certified_slack > 0.0
 
 
 def _max_overlap(x: Observable, y: Observable) -> float:
@@ -363,14 +364,14 @@ def _string_eigenpairs(stacks: Sequence[np.ndarray], weights: Sequence[float],
     return np.concatenate(values), np.concatenate(vectors)
 
 
-def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
-    """The top-1 entry from the uniform fine-grained bound, where a witness state attains it.
+def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> tuple[float, bool] | None:
+    """The top-1 cap from the uniform fine-grained bound, and whether a witness state attains it.
 
     For m measurements and every state, AM-GM bounds the entry of outcome
     string s by (lambda_max(O_s)/m)^m, O_s = sum_i E_{i,s_i}.  Returns the
-    largest such value plus half of ``CLOSED_FORM_MARGIN`` where the top
-    eigenvector of the best O_s reaches it within the margin, else None;
-    None too where the strings times d^2 exceed ``_BLOCK_ENTRIES``.
+    largest such value plus half of ``CLOSED_FORM_MARGIN``, a proven cap,
+    and whether the top eigenvector of the best O_s reaches it within the
+    margin; None where the strings times d^2 exceed ``_BLOCK_ENTRIES``.
     """
     m, d = len(sizes), math.isqrt(effects.shape[1])
     if math.prod(sizes) * d * d > _BLOCK_ENTRIES:
@@ -381,18 +382,42 @@ def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> float | None
     best = int(values.argmax())
     entry = float((values[best] / m) ** m) + CLOSED_FORM_MARGIN / 2.0
     witness = tensor_stats(vectors[best][None], effects, sizes)[1].max()
-    return entry if witness >= entry - CLOSED_FORM_MARGIN else None
+    return entry, bool(witness >= entry - CLOSED_FORM_MARGIN)
+
+
+def _top2_cap(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
+    """A proven cap on every state's top-2 sum, or None where it exceeds ``_BLOCK_ENTRIES``.
+
+    The top two entries of a product tensor differ at one position j only,
+    so by AM-GM their sum prod_{i != j} p_{i,s_i} (p_{j,s_j} + p_{j,a}) is at
+    most (lambda_max(O_s + E_{j,a})/m)^m; one batched eigensolve finds it.
+    """
+    m, d = len(sizes), math.isqrt(effects.shape[1])
+    if math.prod(sizes) * sum(n - 1 for n in sizes) // 2 * d * d > _BLOCK_ENTRIES:
+        return None
+    stacks = np.split(effects.reshape(-1, d, d), np.cumsum(sizes)[:-1])
+    strings = np.indices(sizes).reshape(m, -1).T
+    offsets, rows = np.cumsum((0, *sizes)), []
+    for j, n in enumerate(sizes):
+        # s with E_{j,a}, a > s_j, from an (m + 1)-th stack of every effect
+        string, a = np.nonzero(strings[:, j, None] < np.arange(n))
+        rows.append(np.column_stack((strings[string], offsets[j] + a)))
+    values = _string_eigenpairs([*stacks, effects.reshape(-1, d, d)], np.ones(m + 1),
+                                np.concatenate(rows))[0]
+    return float((values.max() / m) ** m) + CLOSED_FORM_MARGIN / 2.0
 
 
 def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> BoundVector:
-    """Majorization bound via the top-1 closed form and top-k maximization over pure states.
+    """Majorization bound via the top-1 closed form, proven caps and top-k maximization.
 
     For k below the per-measurement outcome count, the cumulative entry is
     :func:`_top1_closed_form` at k = 1 where a witness attains it, else the
     maximized sum of the k largest tensor-statistic entries plus a small
     slack, each k with its own restart seeds; the final cumulative entry is
     pinned to 1.  A least concave majorant repairs numeric non-monotone
-    increments.  Proven where the closed form leaves no k to ascend.
+    increments.  No ascent runs where the top-1 and :func:`_top2_cap` caps
+    show none could change omega; where no ascent decided it (e.g. x/y/z,
+    mub:3:3, 3:4, 5:3, 5:4) omega is proven: ``ANALYTIC_TOP1``, slack 0.
     """
     if restarts < 1:
         raise BadParameter("at least one restart is required")
@@ -407,14 +432,28 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
     if tensor_size > 10**6:
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
-    seeds = dict(zip(range(1, d_out), np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))))
-    top1 = _top1_closed_form(*flat_effects([np.array(p.effects) for p in meas])) if seeds else None
-    cumulative = {} if top1 is None else {1: top1}
-    maxima = _max_topk(meas, {k: s for k, s in seeds.items() if k not in cumulative}, restarts)
-    cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
-    proven = top1 is not None and not maxima
+    ks = list(range(1, d_out))
+    effects, sizes = flat_effects([np.array(p.effects) for p in meas])
+    top1 = _top1_closed_form(effects, sizes) if ks else None
+    cumulative = {1: top1[0]} if top1 is not None and top1[1] else {}
+    ascents = [k for k in ks if k not in cumulative]
+    top2 = _top2_cap(effects, sizes) if top1 is not None and ascents else None
+    omega = None
+    if top2 is not None:
+        # each ascent ends in [0, cap + slack] (each entry past the top two is at most
+        # half their sum); where both ends give one omega, the monotone majorant does too
+        caps = {k: top1[0] if k == 1 else min(1.0, k * top2 / 2.0) for k in ks}
+        high, low = (_omega_from_cumulative([cumulative.get(k, end * (caps[k] + NUMERIC_SLACK))
+                                             for k in ks], tensor_size) for end in (1.0, 0.0))
+        omega = low if np.array_equal(high.values, low.values) else None
+    proven = top1 is not None and (omega is not None or not ascents)
+    if omega is None:
+        seeds = np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))
+        maxima = _max_topk(meas, {k: seeds[k - 1] for k in ascents}, restarts)
+        cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
+        omega = _omega_from_cumulative(list(cumulative.values()), tensor_size)
     return BoundVector(
-        omega=_omega_from_cumulative(list(cumulative.values()), tensor_size),
+        omega=omega,
         method=ANALYTIC_TOP1 if proven else NUMERIC_TOPK,
         measurement_fingerprint=fingerprint_povms(meas),
         certified_slack=0.0 if proven else NUMERIC_SLACK,
@@ -649,34 +688,38 @@ def matched_outcome_events(povm_a: Povm, povm_b: Povm) -> list[tuple[str, str]]:
     return [(a, b) for a, b in zip(povm_a.outcome_labels, povm_b.outcome_labels)]
 
 
+def _expectations(kets: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """(R, T) expectations <psi|E_t|psi> of (R, d) kets in the (T, d^2) flat effects."""
+    return tensor_stats(kets, effects, [len(effects)])[1]
+
+
+def _top_eigenvectors(coeffs: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Top eigenvectors of sum_t coeffs[r, t] E_t for every row r of the (R, T) coefficients."""
+    d = math.isqrt(effects.shape[1])
+    ops = (coeffs @ effects).reshape(-1, d, d)
+    return np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)[1][:, :, -1]
+
+
 def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.ndarray,
                effects_b: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating eigenvector ascent from every row of the (R, da) and (R, db) start kets.
 
     The objective is the sum over terms t of weights[t] <u|A_t|u> <v|B_t|v>
-    for the (T, d, d) term effects A and B.  Each half-step fixes one side
-    and moves the other to the top eigenvector of its weighted effect sum.
+    for the (T, d, d) or flat term effects A and B.  Each half-step fixes one
+    side and moves the other to the top eigenvector of its weighted sum.
     Rows do not interact; each stops once an iteration gains less than
     ``STEP_TOL``.  Returns the (R,) values and the final kets.
     """
-    def expectations(kets: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        return tensor_stats(kets, effects, [len(effects)])[1]
-
-    def top_eigenvectors(coeffs: np.ndarray, effects: np.ndarray) -> np.ndarray:
-        d = math.isqrt(effects.shape[1])
-        ops = (coeffs @ effects).reshape(-1, d, d)
-        return np.linalg.eigh((ops + ops.conj().transpose(0, 2, 1)) / 2.0)[1][:, :, -1]
-
     effects_a, effects_b = (e.reshape(len(e), -1) for e in (effects_a, effects_b))
     u, v = u.copy(), v.copy()
-    exp_b = expectations(v, effects_b)
-    f = (weights * expectations(u, effects_a) * exp_b).sum(axis=1)
+    exp_b = _expectations(v, effects_b)
+    f = (weights * _expectations(u, effects_a) * exp_b).sum(axis=1)
     active = np.arange(len(u))
     for _ in range(maxiter):
-        u[active] = top_eigenvectors(weights * exp_b[active], effects_a)
-        exp_a = expectations(u[active], effects_a)
-        v[active] = top_eigenvectors(weights * exp_a, effects_b)
-        exp_b[active] = expectations(v[active], effects_b)
+        u[active] = _top_eigenvectors(weights * exp_b[active], effects_a)
+        exp_a = _expectations(u[active], effects_a)
+        v[active] = _top_eigenvectors(weights * exp_a, effects_b)
+        exp_b[active] = _expectations(v[active], effects_b)
         f_new = (weights * exp_a * exp_b[active]).sum(axis=1)
         going = f_new - f[active] >= STEP_TOL
         f[active] = f_new
@@ -686,14 +729,45 @@ def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.
     raise NoConvergence(f"alternating ascent still improving after {maxiter} iterations")
 
 
+def _product_closed_form(weights: np.ndarray, effects_a: np.ndarray,
+                         effects_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """The Hilbert-Schmidt product bound and witness kets for (T, d^2) flat term effects.
+
+    Cauchy-Schwarz gives sum_t w_t <A_t> <B_t> <= sqrt(L_A L_B), L_A the
+    maximum of <rho|G|rho>, G = sum_t w_t |A_t><A_t|; rho = I/d + tau with
+    ||tau||^2 <= r^2 = 1 - 1/d gives L_A <= c + 2 ||b|| r + lambda_max(QGQ) r^2,
+    c = <I|G|I>/d^2, b = QG|I>/d, Q the projector onto traceless matrices.
+    Witness: u from the Hermitian part of QGQ's top eigenvector, v Bob's best
+    reply.  Rounded outward like ``_top1_closed_form``; None if unattained.
+    """
+    def cap(effects: np.ndarray) -> tuple[float, np.ndarray]:
+        d = math.isqrt(effects.shape[1])
+        traces = effects[:, :: d + 1].sum(axis=1).real
+        traceless = effects - np.outer(traces / d, np.eye(d).ravel())
+        # QGQ's top eigenpair from the SVD of its (T, d^2) factor
+        s, vh = np.linalg.svd(np.sqrt(weights)[:, None] * traceless, full_matrices=False)[1:]
+        b, r = np.linalg.norm((weights * traces) @ traceless) / d, math.sqrt(1.0 - 1.0 / d)
+        return weights @ traces**2 / d**2 + 2.0 * b * r + (s[0] * r) ** 2, vh[0].reshape(d, d)
+
+    (cap_a, top), (cap_b, _) = cap(effects_a), cap(effects_b)
+    u = np.linalg.eigh(top + top.conj().T)[1][:, -1]
+    value = math.sqrt(cap_a * cap_b) + CLOSED_FORM_MARGIN / 2.0
+    exp_a = _expectations(u[None], effects_a)
+    v = _top_eigenvectors(weights * exp_a, effects_b)[0]
+    witness = float((weights * exp_a * _expectations(v[None], effects_b)).sum())
+    return (value, u, v) if witness >= value - CLOSED_FORM_MARGIN else None
+
+
 def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
                                outcomes, priors: ProbVec, restarts: int = 32,
                                seed: int = 0, maxiter: int = 200) -> FineGrainedBound:
-    """Fine-grained bound over product states via alternating eigenvector ascent.
+    """Fine-grained bound over product states: a closed form where attained, else an ascent.
 
-    ``priors`` runs over setting pairs in row-major order.  The returned value
-    is the best found maximum plus a certified slack, so a detection against
-    it can only be weakened by the residual optimization error.
+    ``priors`` runs over setting pairs in row-major order.  Where every
+    event is a matching and a witness attains :func:`_product_closed_form`,
+    that proven value is taken (``ANALYTIC_PRODUCT``; matched x/z: 3/4).
+    Otherwise it is the best found maximum plus a certified slack, so a
+    detection against it can only be weakened by the residual error.
     """
     if restarts < 1:
         raise BadParameter("at least one restart is required")
@@ -705,28 +779,33 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
     if priors.dim != len(pairs):
         raise DimensionMismatch(f"priors must cover all {len(pairs)} setting pairs")
     events = _pair_events(meas_a, meas_b, outcomes)
-    weights, effects_a, effects_b = [], [], []
-    for weight, i, j, k, l in _fine_grained_terms(meas_a, meas_b, events, priors):
-        weights.append(float(weight))
-        effects_a.append(meas_a[i].effects[k])
-        effects_b.append(meas_b[j].effects[l])
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(restarts)]
-    u0, v0 = (np.array(kets) for kets in zip(*((random_ket(da, rng), random_ket(db, rng))
-                                                for rng in rngs)))
-    f, u, v = _alternate(u0, v0, np.array(weights), np.array(effects_a).reshape(-1, da, da),
-                         np.array(effects_b).reshape(-1, db, db), maxiter)
-    best = int(np.argmax(f))
+    terms = _fine_grained_terms(meas_a, meas_b, events, priors)
+    weights = np.array([float(weight) for weight, *_ in terms])
+    effects_a = np.array([meas_a[i].effects[k] for _, i, _, k, _ in terms]).reshape(-1, da * da)
+    effects_b = np.array([meas_b[j].effects[l] for _, _, j, _, l in terms]).reshape(-1, db * db)
+    # every event a matching: no setting pair repeats an outcome on either side
+    matching = len({t[1:4] for t in terms}) == len({t[1:3] + t[4:] for t in terms}) == len(terms)
+    found = _product_closed_form(weights, effects_a, effects_b) if terms and matching else None
+    method, slack = (ANALYTIC_PRODUCT, 0.0) if found else (ALTERNATING_NUMERIC, NUMERIC_SLACK)
+    if found is None:
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(restarts)]
+        u0, v0 = (np.array(kets) for kets in zip(*((random_ket(da, rng), random_ket(db, rng))
+                                                    for rng in rngs)))
+        f, u, v = _alternate(u0, v0, weights, effects_a, effects_b, maxiter)
+        best = int(np.argmax(f))
+        found = float(f[best]) + NUMERIC_SLACK, u[best], v[best]
+    value, u, v = found
     a_labels = tuple(lab for event in events for lab, _ in event)
     b_labels = tuple(lab for event in events for _, lab in event)
     return FineGrainedBound(
-        value=min(float(f[best]) + NUMERIC_SLACK, 1.0),
+        value=min(value, 1.0),
         outcome_string=a_labels + b_labels,
         priors=priors,
-        operator_norm_witness=np.kron(u[best], v[best]),
+        operator_norm_witness=np.kron(u, v),
         measurement_fingerprint=fingerprint_povms(
             list(meas_a) + list(meas_b),
             extra=repr(events),
         ),
-        method=ALTERNATING_NUMERIC,
-        certified_slack=NUMERIC_SLACK,
+        method=method,
+        certified_slack=slack,
     )

@@ -24,6 +24,7 @@ from uwit import (
     maassen_uffink,
     make_probvec,
     majorized_by,
+    matched_outcome_events,
     maximally_mixed,
     mub_bases,
     observable_from_matrix,
@@ -38,6 +39,8 @@ from uwit import (
 from uwit import bounds, cli
 from uwit.assemblage import matrix_from_json, matrix_to_json
 from uwit.bounds import (
+    ALTERNATING_NUMERIC,
+    ANALYTIC_PRODUCT,
     ANALYTIC_TOP1,
     ANALYTIC_TWO_BASES,
     ANALYTIC_TWO_DICHOTOMIC,
@@ -523,6 +526,14 @@ UNATTAINED_SETS = {
 }
 
 
+# sets whose every top-k ascent the caps skip
+CAPPED_SETS = {f"mub:{d}:{m}": [o.povm() for o in mub_bases(d, m)]
+               for d, m in ((3, 3), (3, 4), (5, 3), (5, 4))}
+# sets where the caps leave some ascent to run
+ASCENDING_SETS = {"mub:3:2": ASCENT_SETS["mub:3:2"], "mub:5:2": ASCENT_SETS["mub:5:2"]} | {
+    name: UNATTAINED_SETS[name] for name in UNATTAINED_SETS if name != "mub:3:4"}
+
+
 def every_k_seeds(meas, seed):
     """omega_numeric's restart seeds: k draws from the (k - 1)-th child of SeedSequence(seed)."""
     d_out = max(p.n_outcomes for p in meas)
@@ -550,7 +561,27 @@ def top1_closed_form(meas):
 
 
 def library_top1(meas):
+    """The library's top-1 cap and whether its witness attains it."""
     return bounds._top1_closed_form(*flat_effects([np.array(p.effects) for p in meas]))
+
+
+def library_top2(meas):
+    return bounds._top2_cap(*flat_effects([np.array(p.effects) for p in meas]))
+
+
+def parent_omega(meas, restarts, seed):
+    """omega_numeric's vector where every k without a witnessed closed form ascends.
+
+    The top-1 closed form where its witness attains it, then the ascent and
+    slack of every other k, each from its own seed.
+    """
+    top1, attained = library_top1(meas)
+    seeds = every_k_seeds(meas, seed)
+    cumulative = {1: top1} if attained else {}
+    maxima = _max_topk(meas, {k: s for k, s in seeds.items() if k not in cumulative}, restarts)
+    cumulative |= {k: maxima[k] + NUMERIC_SLACK for k in sorted(maxima)}
+    return _omega_from_cumulative(list(cumulative.values()),
+                                  int(np.prod([p.n_outcomes for p in meas])))
 
 
 class TestTopOneClosedForm:
@@ -561,7 +592,7 @@ class TestTopOneClosedForm:
         meas = ASCENT_SETS[name]
         entry, witness = top1_closed_form(meas)
         assert witness <= entry <= witness + CLOSED_FORM_MARGIN
-        assert library_top1(meas) == pytest.approx(entry, abs=1e-14)
+        assert library_top1(meas) == (pytest.approx(entry, abs=1e-14), True)
         assert brute_force_topk(meas, 1, grid) <= entry
         assert omega_numeric(meas, restarts=10, seed=0).omega[0] >= entry
 
@@ -572,24 +603,31 @@ class TestTopOneClosedForm:
         entry, witness = top1_closed_form(meas)
         assert witness <= entry <= witness + CLOSED_FORM_MARGIN
         ascent = _max_topk(meas, {1: np.random.SeedSequence(0)}, 64)[1]
-        assert library_top1(meas) >= ascent
+        assert library_top1(meas)[0] >= ascent
         assert omega_numeric(meas, restarts=4, seed=0).omega[0] >= ascent
 
     def test_census_finds_no_violation(self):
-        for name in ("xyz", "mub:3:3"):
-            meas = ASCENT_SETS[name]
+        # x/y/z's closed form is attained; the caps decide the other three
+        for name in ("xyz", "mub:3:3", "mub:3:4", "mub:5:3"):
+            meas = CAPPED_SETS.get(name) or ASCENT_SETS[name]
             bound = omega_numeric(meas, restarts=10, seed=0)
+            assert bound.method == ANALYTIC_TOP1
             assert verify_majorization_bound(bound, meas, 10_000, seed=21).violations == 0
 
     @pytest.mark.parametrize("name", UNATTAINED_SETS)
     def test_unattained_closed_form_leaves_the_ascent(self, name):
+        # the cap still bounds the top-1 entry; on mub:3:4 the caps leave
+        # the chord (1/3, 1/3, 1/3) to every ascent, so none runs
         meas = UNATTAINED_SETS[name]
         entry, witness = top1_closed_form(meas)
         assert witness < entry - CLOSED_FORM_MARGIN
-        assert library_top1(meas) is None
+        assert library_top1(meas) == (pytest.approx(entry, abs=1e-14), False)
         for seed in range(20):
             bound = omega_numeric(meas, restarts=4, seed=seed)
-            assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+            if name == "mub:3:4":
+                assert bound.method == ANALYTIC_TOP1 and bound.certified_slack == 0.0
+            else:
+                assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
             assert np.array_equal(bound.omega.values, ascent_only_omega(meas, 4, seed).values)
 
     @pytest.mark.parametrize("name", ["xyz", "mub:3:3", "mub:3:4", "mub:5:2", "qutrit-povm"])
@@ -605,13 +643,18 @@ class TestTopOneClosedForm:
             return ran[-1]
 
         monkeypatch.setattr(bounds, "_max_topk", recorded)
-        skipped = set() if library_top1(meas) is None else {1}
+        skipped = {1} if library_top1(meas)[1] else set()
         assert skipped or name == "mub:3:4"
+        # the caps leave no k of mub:3:3 and mub:3:4 to ascend
+        capped = name in CAPPED_SETS
         for seed in range(20):
+            del ran[:]
             omega_numeric(meas, restarts=10, seed=seed)
             every_k = ascent(meas, every_k_seeds(meas, seed), 10)
-            assert set(ran[-1]) == set(every_k) - skipped
-            assert all(abs(value - every_k[k]) <= 1e-12 for k, value in ran[-1].items())
+            assert len(ran) == (0 if capped else 1)
+            if not capped:
+                assert set(ran[0]) == set(every_k) - skipped
+                assert all(abs(value - every_k[k]) <= 1e-12 for k, value in ran[0].items())
 
     def test_over_budget_strings_take_the_ascent(self, monkeypatch):
         # x/y/z's 8 outcome-string operators hold 32 entries
@@ -645,6 +688,49 @@ class TestTopOneClosedForm:
         assert cli.run(str(config), json_path=str(report), seed=0, restarts=10, quiet=True) == 2
         (verdict,) = json.loads(report.read_text())["reports"]
         assert verdict["verdict"] == "Detected" and verdict["certified"]
+
+
+class TestTopTwoCaps:
+    """omega_numeric skips every ascent that the caps show cannot change omega."""
+
+    def test_at_least_brute_force(self):
+        meas = CAPPED_SETS["mub:3:3"]
+        assert brute_force_topk(meas, 2, 3_000) <= library_top2(meas)
+
+    @pytest.mark.parametrize("name", ["mub:3:3", "mub:3:4", "mub:5:3"])
+    def test_at_least_the_ascent(self, name):
+        meas = CAPPED_SETS[name]
+        assert _max_topk(meas, {2: np.random.SeedSequence(0)}, 64)[2] <= library_top2(meas)
+
+    @pytest.mark.parametrize("name", CAPPED_SETS)
+    def test_skipped_ascents_leave_the_parent_vector(self, name, monkeypatch):
+        meas = CAPPED_SETS[name]
+        expected = [parent_omega(meas, 10, seed).values for seed in range(20)]
+        monkeypatch.setattr(bounds, "_max_topk", None)
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        for seed, want in enumerate(expected):
+            bound = omega_numeric(meas, restarts=10, seed=seed)
+            assert bound.method == ANALYTIC_TOP1 and bound.certified_slack == 0.0
+            assert np.array_equal(bound.omega.values, want)
+
+    @pytest.mark.parametrize("name", ASCENDING_SETS)
+    def test_ascending_sets_keep_the_parent_vector(self, name):
+        meas = ASCENDING_SETS[name]
+        for seed in range(10):
+            bound = omega_numeric(meas, restarts=10, seed=seed)
+            assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+            assert np.array_equal(bound.omega.values, parent_omega(meas, 10, seed).values)
+
+    def test_over_budget_caps_take_the_ascent(self, monkeypatch):
+        # mub:3:3's 81 top-2 operators hold 729 entries, its 27 top-1 ones 243
+        meas = CAPPED_SETS["mub:3:3"]
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 728)
+        assert library_top1(meas)[1] and library_top2(meas) is None
+        bound = omega_numeric(meas, restarts=10, seed=0)
+        assert bound.method == NUMERIC_TOPK and bound.certified_slack == NUMERIC_SLACK
+        assert np.array_equal(bound.omega.values, parent_omega(meas, 10, 0).values)
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 729)
+        assert omega_numeric(meas, restarts=10, seed=0).method == ANALYTIC_TOP1
 
 
 class TestTensorStatsKernel:
@@ -768,7 +854,78 @@ class TestFineGrained:
         assert mub_fine_grained_bound(3, 2) == pytest.approx((1 + 2 / np.sqrt(2)) / 3, abs=1e-12)
 
 
+def matched_request(meas):
+    """Matched events on both sides' equal settings, each with prior 1/m."""
+    pairs = list(itertools.product(range(len(meas)), repeat=2))
+    events = [matched_outcome_events(meas[i], meas[j]) for i, j in pairs]
+    return meas, meas, events, make_probvec([1.0 / len(meas) if i == j else 0.0 for i, j in pairs])
+
+
+def product_terms(meas_a, meas_b, events, priors):
+    """The (weights, Alice effects, Bob effects) of every nonzero-weight term."""
+    pairs = itertools.product(range(len(meas_a)), range(len(meas_b)))
+    events = bounds._pair_events(meas_a, meas_b, events)
+    terms = [(w, meas_a[i].effect_for(a), meas_b[j].effect_for(b))
+             for w, (i, j), event in zip(priors.values, pairs, events) for a, b in event if w]
+    return tuple(np.array(x) for x in zip(*terms))
+
+
+def alternation_bound(request, restarts, seed):
+    """The alternating ascent's value plus slack, capped at 1, and its witness."""
+    meas_a, meas_b = request[:2]
+    weights, effects_a, effects_b = product_terms(*request)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(restarts)]
+    u, v = (np.array(kets) for kets in zip(*((random_ket(meas_a[0].dim, rng),
+                                               random_ket(meas_b[0].dim, rng)) for rng in rngs)))
+    f, u, v = _alternate(u, v, weights, effects_a, effects_b, 200)
+    best = int(np.argmax(f))
+    return min(f[best] + NUMERIC_SLACK, 1.0), np.kron(u[best], v[best])
+
+
+MATCHED_REQUESTS = {
+    "x/z": (matched_request([SX.povm(), SZ.povm()]), 0.75),
+    "x/y/z": (matched_request([SX.povm(), SY.povm(), SZ.povm()]), 2.0 / 3.0),
+    "mub:3:4": (matched_request([o.povm() for o in mub_bases(3, 4)]), 0.5),
+}
+XZ = [SX.povm(), SZ.povm()]
+# requests whose product closed form is not taken
+FALLBACK_REQUESTS = {
+    # matchings, but no witness attains the bound: the x/z singletons' cap
+    # 0.728553 is the maximum, their witness reaches 0.6545
+    "x/z singletons": (XZ, XZ, (("+", "0"), ("+", "0")), make_probvec((0.5, 0.0, 0.0, 0.5))),
+    "mub:3:2": matched_request([o.povm() for o in mub_bases(3, 2)]),
+    # Alice's "+" twice in one event
+    "not a matching": (XZ, XZ, [[], [("+", "0"), ("+", "1")], [], [("0", "0")]],
+                       make_probvec((0.0, 0.5, 0.0, 0.5))),
+}
+
+
 class TestFineGrainedProduct:
+    @pytest.mark.parametrize("name", MATCHED_REQUESTS)
+    def test_matched_events_take_the_closed_form(self, name, monkeypatch):
+        request, exact = MATCHED_REQUESTS[name]
+        alternation = alternation_bound(request, 32, 0)[0] - NUMERIC_SLACK
+        monkeypatch.setattr(bounds, "_alternate", None)
+        bound = fine_grained_bound_product(*request, restarts=32, seed=0)
+        assert bound.method == ANALYTIC_PRODUCT and bound.certified
+        assert bound.certified_slack == 0.0
+        assert bound.value == pytest.approx(exact, abs=1e-14)
+        assert bound.value >= alternation
+        weights, effects_a, effects_b = product_terms(*request)
+        psi = bound.operator_norm_witness
+        witness = sum(w * (psi.conj() @ np.kron(a, b) @ psi).real
+                      for w, a, b in zip(weights, effects_a, effects_b))
+        assert witness <= bound.value <= witness + CLOSED_FORM_MARGIN
+
+    @pytest.mark.parametrize("name", FALLBACK_REQUESTS)
+    def test_fallback_is_the_alternation(self, name):
+        request = FALLBACK_REQUESTS[name]
+        value, witness = alternation_bound(request, 16, 3)
+        bound = fine_grained_bound_product(*request, restarts=16, seed=3)
+        assert bound.method == ALTERNATING_NUMERIC and bound.certified_slack == NUMERIC_SLACK
+        assert bound.value == value
+        assert np.array_equal(bound.operator_norm_witness, witness)
+
     def test_single_pair_rank_one(self):
         fb = fine_grained_bound_product(
             [SX.povm()], [SZ.povm()], (("+",), ("0",)), make_probvec((1.0,)),

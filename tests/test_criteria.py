@@ -35,7 +35,13 @@ from uwit import (
     uniform,
     werner,
 )
-from uwit.bounds import NUMERIC_SLACK, _pair_events, fingerprint_povms
+from uwit.bounds import (
+    ALTERNATING_NUMERIC,
+    ANALYTIC_PRODUCT,
+    NUMERIC_SLACK,
+    _pair_events,
+    fingerprint_povms,
+)
 from uwit.criteria import DETECTION_MARGIN
 from uwit.oracle import random_lhs_fixture, threshold_scan
 from uwit.quantum import PAULI_X, PAULI_Z, projector, random_mixed_state
@@ -188,7 +194,21 @@ class TestEntanglementFineGrained:
         report = entanglement_fine_grained(bell_phi_plus(), meas, meas, events, priors, bound)
         assert report.lhs_value == pytest.approx(1.0, abs=1e-9)
         assert bound.value == pytest.approx(0.75, abs=1e-5)
-        assert report.detected
+        assert bound.method == ANALYTIC_PRODUCT
+        assert report.detected and report.certified
+
+    def test_product_states_never_reach_the_matched_closed_form(self):
+        rng = np.random.default_rng(64)
+        meas = XZ_POVMS
+        priors = make_probvec((0.5, 0.0, 0.0, 0.5))
+        events = [matched_outcome_events(meas[i], meas[j])
+                  for i, j in itertools.product(range(2), repeat=2)]
+        bound = fine_grained_bound_product(meas, meas, events, priors, restarts=16, seed=4)
+        assert bound.method == ANALYTIC_PRODUCT
+        for _ in range(50):
+            state = kron_state(random_mixed_state(2, rng), random_mixed_state(2, rng))
+            report = entanglement_fine_grained(state, meas, meas, events, priors, bound)
+            assert not report.detected
 
     def test_product_state_never_detected(self):
         rng = np.random.default_rng(63)
@@ -226,6 +246,8 @@ class TestEntanglementFineGrained:
                  for w, (i, j), event in zip(priors.values, pairs, events) for a, b in event]
         state = random_mixed_state(6, np.random.default_rng(70), dims=(2, 3))
         bound = fine_grained_bound_product(meas_a, meas_b, events, priors, restarts=8, seed=8)
+        # every event is a matching, but no witness attains the closed form
+        assert bound.method == ALTERNATING_NUMERIC
         report = entanglement_fine_grained(state, meas_a, meas_b, events, priors, bound)
         lhs = sum(w * np.trace(np.kron(e, f) @ state.matrix).real for w, e, f in terms)
         assert report.lhs_value == pytest.approx(lhs, abs=1e-12)
