@@ -448,9 +448,10 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
         omega = low if np.array_equal(high.values, low.values) else None
     proven = top1 is not None and (omega is not None or not ascents)
     if omega is None:
-        seeds = np.random.SeedSequence(seed).spawn(max(d_out - 1, 1))
-        maxima = _max_topk(meas, {k: seeds[k - 1] for k in ascents}, restarts)
-        cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
+        if ascents:
+            seeds = np.random.SeedSequence(seed).spawn(d_out - 1)
+            maxima = _max_topk(meas, {k: seeds[k - 1] for k in ascents}, restarts)
+            cumulative |= {k: value + NUMERIC_SLACK for k, value in maxima.items()}
         omega = _omega_from_cumulative(list(cumulative.values()), tensor_size)
     return BoundVector(
         omega=omega,

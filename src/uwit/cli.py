@@ -470,7 +470,7 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
             _print_reports(reports)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
+            handle.write(json.dumps(payload, indent=2))
 
     detected_certified = any(r.detected and r.certified for r in reports)
     if reports and not quiet:

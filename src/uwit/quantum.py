@@ -10,13 +10,16 @@ rule: every tr(E X) of the package (Born, joint and conditional statistics,
 steered operators, correlation tensors) is one of its two einsum contractions.
 Every matrix is limited to dimension ``MAX_DIM`` = 64, where a dense
 symmetric eigensolver is exact for all practical purposes; the named state
-and basis builders check that limit before they allocate.
+and basis builders check that limit before they allocate.  The named
+measurement sets (``pauli_observable``, ``mub_bases``) and ``bell_phi_plus``
+are built and validated once per process and shared: every container here is
+a frozen dataclass over read-only arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -313,11 +316,14 @@ def observable_from_matrix(m, outcome_labels: tuple[str, ...] | None = None) -> 
 _PAULI_LABELS = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
 
 
+@cache
 def pauli_observable(axis: str) -> Observable:
     """The Pauli observable along ``x``, ``y`` or ``z``.
 
     Projectors are built as (I +/- sigma) / 2, whose entries are exact dyadic
     floats, so overlap computations between Pauli eigenbases are bit-exact.
+    Each axis is built and validated on its first request; every request
+    returns that one immutable instance.
     """
     try:
         labels = _PAULI_LABELS[axis]
@@ -421,8 +427,13 @@ def maximally_entangled_ket(d: int = 2) -> np.ndarray:
     return ket / np.sqrt(d)
 
 
+@cache
 def bell_phi_plus() -> DensityState:
-    """The two-qubit maximally entangled state (|00> + |11>) / sqrt(2)."""
+    """The two-qubit maximally entangled state (|00> + |11>) / sqrt(2).
+
+    Built and validated on the first call; every call returns that one
+    immutable instance.
+    """
     return DensityState(projector(maximally_entangled_ket(2)), dims=(2, 2))
 
 
@@ -464,19 +475,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# mub_bases shares the sets whose effects hold at most this many complex
+# entries (m d^3): every two-basis set up to d = 31 and every complete set up
+# to d = 13, 67 sets of 21 MiB in all; a larger set, up to 226 MB for d = 61,
+# is built on each call
+_INTERN_ENTRIES = 2**16
+
+
 def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     """``m`` mutually unbiased bases in prime dimension ``d``, as observables.
 
     For d = 2 these are the Pauli z, x, y eigenbases.  For odd primes the
     Weyl-Heisenberg construction is used: basis ``k`` has vectors with
     components omega^(k l^2 + j l) / sqrt(d) against the computational basis,
-    preceded by the computational basis itself.
+    preceded by the computational basis itself.  A set whose effects hold at
+    most ``_INTERN_ENTRIES`` = 2^16 complex entries (m d^3) is built and
+    validated on its first request and the same immutable tuple is returned
+    to every later one; a larger set is built afresh on each call.
     """
     _check_dim(d)
     if not _is_prime(d):
         raise BadParameter(f"dimension {d} is not prime")
     if not 2 <= m <= d + 1:
         raise BadParameter(f"number of bases must lie in [2, {d + 1}], got {m}")
+    if m * d**3 > _INTERN_ENTRIES:
+        return _build_mub_bases(d, m)
+    return _interned_mub_bases(d, m)
+
+
+def _build_mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     if d == 2:
         # Pauli z, x, y eigenbases, labeled by basis-vector index.
         return tuple(_pauli(axis, ("0", "1")) for axis in "zxy"[:m])
@@ -485,6 +512,9 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     weyl = [[omega ** ((k * ls * ls + j * ls) % d) / np.sqrt(d) for j in range(d)]
             for k in range(m - 1)]
     return tuple(_basis_observable(vectors) for vectors in [np.eye(d).T, *weyl])
+
+
+_interned_mub_bases = cache(_build_mub_bases)
 
 
 def _basis_observable(vectors) -> Observable:

@@ -651,10 +651,24 @@ class TestTopOneClosedForm:
             del ran[:]
             omega_numeric(meas, restarts=10, seed=seed)
             every_k = ascent(meas, every_k_seeds(meas, seed), 10)
-            assert len(ran) == (0 if capped else 1)
-            if not capped:
-                assert set(ran[0]) == set(every_k) - skipped
+            left = set() if capped else set(every_k) - skipped
+            # no call, not even an empty one, where no k is left to ascend
+            assert len(ran) == (1 if left else 0)
+            if left:
+                assert set(ran[0]) == left
                 assert all(abs(value - every_k[k]) <= 1e-12 for k, value in ran[0].items())
+
+    @pytest.mark.parametrize("name", ["xy", "xyz"])
+    def test_attained_top1_alone_spawns_no_seeds(self, name, monkeypatch):
+        # two-outcome sets have only k = 1, which the closed form decides
+        meas = KERNEL_SETS[name]
+        expected = [parent_omega(meas, 10, seed).values for seed in range(20)]
+        monkeypatch.setattr(bounds, "_max_topk", None)
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        for seed, want in enumerate(expected):
+            bound = omega_numeric(meas, restarts=10, seed=seed)
+            assert bound.method == ANALYTIC_TOP1 and bound.certified_slack == 0.0
+            assert np.array_equal(bound.omega.values, want)
 
     def test_over_budget_strings_take_the_ascent(self, monkeypatch):
         # x/y/z's 8 outcome-string operators hold 32 entries

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import random
 from pathlib import Path
@@ -20,7 +21,7 @@ from uwit import (
     steer,
     uniform,
 )
-from uwit import cli
+from uwit import cli, quantum
 from uwit.assemblage import matrix_to_json
 from uwit.quantum import projector
 from uwit.cli import PRESETS, load_config, main, run
@@ -260,9 +261,13 @@ class TestPresets:
         post_init = DensityState.__post_init__
         monkeypatch.setattr(DensityState, "__post_init__",
                             lambda state: (validations.append(state), post_init(state))[1])
+        bell_phi_plus.cache_clear()
         out = tmp_path / "eq12.json"
         assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
-        # the preset's state is validated once, with no tensor round trip
+        # the preset's state is validated once, with no tensor round trip,
+        # and a repeat run shares it
+        assert len(validations) == 1
+        assert run("preset:paper-eq12", quiet=True) == 2
         assert len(validations) == 1
         reports = json.loads(out.read_text())["reports"]
         assert {r["criterion"] for r in reports} == {"steering_fine_grained"}
@@ -309,6 +314,38 @@ class TestReports:
     def test_quiet_suppresses_text(self, capsys):
         run("preset:paper-example-1", quiet=True)
         assert capsys.readouterr().out == ""
+
+    def test_report_is_one_write_of_the_json_dump_text(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
+        text = out.read_text(encoding="utf-8")
+        dumped = io.StringIO()
+        json.dump(json.loads(text), dumped, indent=2)
+        assert text == dumped.getvalue()
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, chunk):
+                writes.append(chunk)
+                return super().write(chunk)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recording(), raising=False)
+        assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
+        assert writes == [text]
+
+    def test_repeat_in_process_runs_give_the_same_report(self, tmp_path):
+        # the first run builds the shared Pauli, MUB and Bell instances, the second reuses them
+        bound = write_config(tmp_path, {"scenario_kind": "bound_only",
+                                        "measurements": {"meas": "mub:3:4"}}, "mub-3-4.json")
+        for scenario in [f"preset:{p}" for p in sorted(PRESETS)] + [bound]:
+            for cached in (quantum.pauli_observable, quantum._interned_mub_bases,
+                           quantum.bell_phi_plus):
+                cached.cache_clear()
+            outcomes = []
+            for repeat in range(2):
+                out = tmp_path / f"report-{repeat}.json"
+                outcomes.append((run(scenario, json_path=str(out), quiet=True), out.read_bytes()))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestScenarios:

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -609,7 +612,10 @@ class TestMub:
             original(self)
 
         monkeypatch.setattr(Povm, "__post_init__", counting)
+        quantum._interned_mub_bases.cache_clear()
         bases = mub_bases(2, m)
+        assert len(validations) == m
+        assert mub_bases(2, m) is bases
         assert len(validations) == m
         for obs, effects in zip(bases, reference):
             assert obs.outcome_labels == ("0", "1")
@@ -620,6 +626,70 @@ class TestMub:
             mub_bases(4, 2)
         with pytest.raises(BadParameter):
             mub_bases(3, 5)
+
+
+INTERNED = {
+    "pauli_x": lambda: pauli_observable("x"),
+    "mub:2:3": lambda: mub_bases(2, 3),
+    "mub:3:4": lambda: mub_bases(3, 4),
+    "mub:17:13": lambda: mub_bases(17, 13),
+    "bell_phi_plus": bell_phi_plus,
+}
+
+
+class TestInterning:
+    """Named measurement sets and bell_phi_plus: one immutable instance per process."""
+
+    @pytest.mark.parametrize("name", INTERNED)
+    def test_repeat_returns_the_same_read_only_instance(self, name):
+        first = INTERNED[name]()
+        assert INTERNED[name]() is first
+        for item in first if isinstance(first, tuple) else (first,):
+            for a in (item.matrix, *getattr(item, "effects", ())):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                item.matrix = np.eye(item.dim)
+
+    @pytest.mark.parametrize("name, check, builds", [
+        ("pauli_x", Povm, 1), ("mub:3:4", Povm, 4), ("bell_phi_plus", DensityState, 1),
+    ])
+    def test_first_request_runs_every_check(self, name, check, builds, monkeypatch):
+        validations = []
+        original = check.__post_init__
+        monkeypatch.setattr(check, "__post_init__",
+                            lambda self: (validations.append(self), original(self))[1])
+        for cached in (pauli_observable, quantum._interned_mub_bases, bell_phi_plus):
+            cached.cache_clear()
+        first = INTERNED[name]()
+        assert len(validations) == builds
+        assert INTERNED[name]() is first
+        assert len(validations) == builds
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (17, 13)])
+    def test_shared_sets_equal_a_fresh_build(self, d, m):
+        for shared, fresh in zip(mub_bases(d, m), quantum._build_mub_bases(d, m), strict=True):
+            assert shared.outcome_labels == fresh.outcome_labels
+            assert shared.fingerprint_bytes == fresh.fingerprint_bytes
+            assert np.array_equal(shared.matrix, fresh.matrix)
+
+    def test_sets_over_the_budget_are_not_retained(self):
+        # mub:17:13's effects hold 13 * 17^3 = 63869 entries, mub:17:14's 68782
+        assert mub_bases(17, 13) is mub_bases(17, 13)
+        bases = mub_bases(17, 14)
+        assert mub_bases(17, 14) is not bases
+        ref = weakref.ref(bases[0])
+        del bases
+        gc.collect()
+        assert ref() is None
+
+    def test_budget_counts_effect_entries(self, monkeypatch):
+        # mub:2:2's effects hold 2 * 2^3 = 16 entries
+        monkeypatch.setattr(quantum, "_INTERN_ENTRIES", 15)
+        assert mub_bases(2, 2) is not mub_bases(2, 2)
+        monkeypatch.setattr(quantum, "_INTERN_ENTRIES", 16)
+        assert mub_bases(2, 2) is mub_bases(2, 2)
 
 
 class TestCorrelationTensor:
