@@ -13,7 +13,9 @@ symmetric eigensolver is exact for all practical purposes; the named state
 and basis builders check that limit before they allocate.  The named
 measurement sets (``pauli_observable``, ``mub_bases``) and ``bell_phi_plus``
 are built and validated once per process and shared: every container here is
-a frozen dataclass over read-only arrays.
+a frozen dataclass over read-only arrays.  The qubit and qutrit ones are built
+when the module is imported, so the first request of a process costs what
+every later one does.
 """
 
 from __future__ import annotations
@@ -322,8 +324,8 @@ def pauli_observable(axis: str) -> Observable:
 
     Projectors are built as (I +/- sigma) / 2, whose entries are exact dyadic
     floats, so overlap computations between Pauli eigenbases are bit-exact.
-    Each axis is built and validated on its first request; every request
-    returns that one immutable instance.
+    Each axis is built and validated once, when the module is imported;
+    every request returns that one immutable instance.
     """
     try:
         labels = _PAULI_LABELS[axis]
@@ -431,8 +433,8 @@ def maximally_entangled_ket(d: int = 2) -> np.ndarray:
 def bell_phi_plus() -> DensityState:
     """The two-qubit maximally entangled state (|00> + |11>) / sqrt(2).
 
-    Built and validated on the first call; every call returns that one
-    immutable instance.
+    Built and validated once, when the module is imported; every call
+    returns that one immutable instance.
     """
     return DensityState(projector(maximally_entangled_ket(2)), dims=(2, 2))
 
@@ -490,8 +492,10 @@ def mub_bases(d: int, m: int) -> tuple[Observable, ...]:
     components omega^(k l^2 + j l) / sqrt(d) against the computational basis,
     preceded by the computational basis itself.  A set whose effects hold at
     most ``_INTERN_ENTRIES`` = 2^16 complex entries (m d^3) is built and
-    validated on its first request and the same immutable tuple is returned
-    to every later one; a larger set is built afresh on each call.
+    validated once and the same immutable tuple is returned to every
+    request; the sets for d = 2 and 3 are built when the module is imported,
+    the others on their first request.  A larger set is built afresh on each
+    call.
     """
     _check_dim(d)
     if not _is_prime(d):
@@ -616,3 +620,21 @@ def schmidt_observables(ket: np.ndarray, dims: tuple[int, int]):
     ]
     return ([_basis_observable(basis_a), _basis_observable(fourier_a)],
             [_basis_observable(basis_b), _basis_observable(fourier_b)])
+
+
+def _build_qubit_and_qutrit_sets() -> None:
+    """Build the shared named sets of dimensions 2 and 3.
+
+    These are the sets the paper's examples and most scenarios ask for.
+    Built here, they are validated before any request, so every request in a
+    process, the first included, does the same work.
+    """
+    for axis in _PAULI_LABELS:
+        pauli_observable(axis)
+    for d in (2, 3):
+        for m in range(2, d + 2):
+            mub_bases(d, m)
+    bell_phi_plus()
+
+
+_build_qubit_and_qutrit_sets()

@@ -315,23 +315,13 @@ class TestReports:
         run("preset:paper-example-1", quiet=True)
         assert capsys.readouterr().out == ""
 
-    def test_report_is_one_write_of_the_json_dump_text(self, tmp_path, monkeypatch):
+    def test_report_is_the_json_dump_text(self, tmp_path):
         out = tmp_path / "report.json"
         assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
         text = out.read_text(encoding="utf-8")
         dumped = io.StringIO()
         json.dump(json.loads(text), dumped, indent=2)
         assert text == dumped.getvalue()
-        writes = []
-
-        class Recording(io.StringIO):
-            def write(self, chunk):
-                writes.append(chunk)
-                return super().write(chunk)
-
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Recording(), raising=False)
-        assert run("preset:paper-eq12", json_path=str(out), quiet=True) == 2
-        assert writes == [text]
 
     def test_repeat_in_process_runs_give_the_same_report(self, tmp_path):
         # the first run builds the shared Pauli, MUB and Bell instances, the second reuses them
