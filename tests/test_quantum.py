@@ -1,7 +1,11 @@
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -666,6 +670,17 @@ class TestInterning:
         assert len(validations) == builds
         assert INTERNED[name]() is first
         assert len(validations) == builds
+
+    def test_qubit_and_qutrit_sets_are_built_at_import(self):
+        # so the first request of a fresh process validates nothing either
+        script = (
+            "from uwit import quantum as q\n"
+            "built = [f.cache_info().currsize for f in"
+            " (q.pauli_observable, q._interned_mub_bases, q.bell_phi_plus)]\n"
+            "assert built == [3, 5, 1], built\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(quantum.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=60)
 
     @pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (17, 13)])
     def test_shared_sets_equal_a_fresh_build(self, d, m):
