@@ -1,13 +1,13 @@
 """Steering assemblages: Bob's subnormalized steered states and their statistics.
 
 An assemblage maps (Alice setting, Alice outcome) to a positive subnormalized
-operator on Bob's space.  Each setting lists distinct outcomes, and summed
-over them it must reproduce the same reduced state; those checks, and the
-quantum module's Hermitian/PSD check of each setting's elements as one stack,
-run on construction.  Steered operators and conditional statistics come from
-the quantum module's Born-rule contractions.  Assemblages can also be built
-from an explicit local hidden state model, which yields guaranteed-unsteerable
-fixtures for the criteria.
+operator on Bob's space.  It is stored as one read-only (n, d, d) stack per
+setting, the form the quantum module's Born-rule contractions read, with the
+setting's distinct outcome labels in stack order.  Summed over its outcomes
+every setting must reproduce the same reduced state; those checks, and the
+quantum module's Hermitian/PSD check of each setting's stack, run on
+construction.  Assemblages can also be built from an explicit local hidden
+state model, which yields guaranteed-unsteerable fixtures for the criteria.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, NotADistribution
 from .probvec import ProbVec
-from .quantum import PSD_TOL, DensityState, Povm, _as_square_complex, _check_hermitian_psd
-from .quantum import _steered, _traces
+from .quantum import PSD_TOL, DensityState, Povm, _as_square_stack, _check_hermitian_psd
+from .quantum import _frozen, _steered, _traces
 
 CONSISTENCY_TOL = 1e-8
 EPS_COND = 1e-10    # outcomes with smaller weight are omitted, not renormalized
@@ -28,64 +28,75 @@ EPS_COND = 1e-10    # outcomes with smaller weight are omitted, not renormalized
 
 @dataclass(frozen=True, eq=False)
 class Assemblage:
-    """Subnormalized steered states indexed by Alice's setting and outcome."""
+    """Subnormalized steered states indexed by Alice's setting and outcome.
 
-    elements: Mapping[tuple[int, str], np.ndarray]
-    settings: tuple[int, ...]
+    ``outcomes`` maps each setting to its distinct outcome labels and
+    ``stacks`` to the read-only (n, d, d) stack of Bob's operators in label
+    order; the settings and Bob's dimension are derived.
+    """
+
     outcomes: Mapping[int, tuple[str, ...]]
-    bob_dim: int
+    stacks: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        if not self.settings or self.bob_dim < 1:
+        if not self.outcomes:
             raise BadParameter("an assemblage needs at least one setting and bob_dim >= 1")
-        sums = {}
-        for setting in self.settings:
-            outcomes = self.outcomes[setting]
-            if not outcomes or len(set(outcomes)) != len(outcomes):
-                raise BadParameter(f"setting {setting} needs distinct outcomes, got {outcomes}")
-            mats = [_as_square_complex(self.elements[(setting, o)]) for o in outcomes]
-            if any(m.shape[0] != self.bob_dim for m in mats):
-                raise DimensionMismatch("element dimension differs from bob_dim")
-            ops = np.array(mats)
+        if self.outcomes.keys() != self.stacks.keys():
+            raise BadParameter("assemblage outcomes and stacks must list the same settings")
+        outcomes, stacks = {}, {}
+        for setting, labels in self.outcomes.items():
+            labels = tuple(labels)
+            if not labels or len(set(labels)) != len(labels):
+                raise BadParameter(f"setting {setting} needs distinct outcomes, got {labels}")
+            ops = _as_square_stack(self.stacks[setting])
+            if len(ops) != len(labels):
+                raise DimensionMismatch(f"setting {setting} needs one element per outcome")
             _check_hermitian_psd(ops, f"assemblage element of setting {setting}")
             traces = ops.trace(axis1=1, axis2=2).real
             bad = (traces < -PSD_TOL) | (traces > 1.0 + PSD_TOL)
             if bad.any():
                 raise BadParameter(f"element trace {traces[bad][0]:.6f} outside [0, 1]")
-            sums[setting] = ops.sum(axis=0)
-        first = sums[self.settings[0]]
+            outcomes[setting], stacks[setting] = labels, _frozen(ops)
+        if len({ops.shape[-1] for ops in stacks.values()}) > 1:
+            raise DimensionMismatch("element dimension differs from bob_dim")
+        first, *rest = (ops.sum(axis=0) for ops in stacks.values())
         if abs(float(first.trace().real) - 1.0) > CONSISTENCY_TOL:
             raise BadParameter("assemblage does not sum to a unit-trace reduced state")
-        for setting in self.settings[1:]:
-            if np.max(np.abs(sums[setting] - first)) > CONSISTENCY_TOL:
+        for setting, total in zip(self.settings[1:], rest):
+            if np.max(np.abs(total - first)) > CONSISTENCY_TOL:
                 raise BadParameter(
                     f"no-signaling violation: setting {setting} sums to a different reduced state"
                 )
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "stacks", stacks)
+
+    @property
+    def settings(self) -> tuple[int, ...]:
+        return tuple(self.outcomes)
+
+    @property
+    def bob_dim(self) -> int:
+        return self.stacks[self.settings[0]].shape[-1]
 
     def element(self, setting: int, outcome: str) -> np.ndarray:
-        return self.elements[(setting, outcome)]
+        return self.stacks[setting][self.outcomes[setting].index(outcome)]
 
     def reduced_state(self) -> DensityState:
-        total = sum(self.elements[(self.settings[0], o)] for o in self.outcomes[self.settings[0]])
-        return DensityState(total)
+        return DensityState(self.stacks[self.settings[0]].sum(axis=0))
 
 
 def steer(state: DensityState, alice_meas: Sequence[Povm]) -> Assemblage:
     """Assemblage Alice induces on Bob by measuring her half of ``state``."""
     if state.dims is None:
         raise DimensionMismatch("state needs a bipartite factorization")
-    da, db = state.dims
-    elements: dict[tuple[int, str], np.ndarray] = {}
-    outcomes: dict[int, tuple[str, ...]] = {}
+    outcomes, stacks = {}, {}
     for setting, povm in enumerate(alice_meas):
-        if povm.dim != da:
+        if povm.dim != state.dims[0]:
             raise DimensionMismatch(
-                f"Alice measurement dimension {povm.dim} does not match factor {da}"
+                f"Alice measurement dimension {povm.dim} does not match factor {state.dims[0]}"
             )
-        steered = _steered(np.array(povm.effects), state)
-        elements.update(((setting, label), op) for label, op in zip(povm.outcome_labels, steered))
-        outcomes[setting] = povm.outcome_labels
-    return Assemblage(elements, tuple(range(len(alice_meas))), outcomes, db)
+        outcomes[setting], stacks[setting] = povm.outcome_labels, _steered(povm.effects, state)
+    return Assemblage(outcomes, stacks)
 
 
 @dataclass(frozen=True)
@@ -107,10 +118,9 @@ def conditional_stats(asm: Assemblage, setting: int, bob_meas: Povm) -> Conditio
         raise BadParameter(f"unknown setting {setting!r}")
     if bob_meas.dim != asm.bob_dim:
         raise DimensionMismatch("Bob measurement dimension differs from assemblage")
-    outcomes = asm.outcomes[setting]
-    ops = np.array([asm.elements[(setting, outcome)] for outcome in outcomes])
+    outcomes, ops = asm.outcomes[setting], asm.stacks[setting]
     weights = ops.trace(axis1=1, axis2=2).real
-    table = np.clip(_traces(np.array(bob_meas.effects), ops), 0.0, None)
+    table = np.clip(_traces(bob_meas.effects, ops), 0.0, None)
     entries: dict[str, tuple[float, ProbVec]] = {}
     omitted: list[str] = []
     for outcome, weight, probs in zip(outcomes, weights, table):
@@ -141,15 +151,12 @@ def lhs_assemblage(hidden: Sequence[tuple[float, DensityState]],
         raise NotADistribution("every response row needs the same settings and outcome counts")
     if len({sigma.dim for _, sigma in hidden}) != 1:
         raise DimensionMismatch("hidden states must share Bob's dimension")
-    n_settings, n_outcomes = len(rows[0]), rows[0][0].dim
-    labels = tuple(str(a) for a in range(n_outcomes))
+    labels = tuple(str(a) for a in range(rows[0][0].dim))
     responses = np.array([[pv.values for pv in row] for row in rows])
     sigmas = np.array([sigma.matrix for _, sigma in hidden])
     # element (s, a) = sum_lam p(lam) p(a | s, lam) sigma_lam
     ops = np.einsum("l,lsa,lij->saij", weights.values, responses, sigmas)
-    elements = {(s, label): ops[s, a] for s in range(n_settings) for a, label in enumerate(labels)}
-    outcomes = {s: labels for s in range(n_settings)}
-    return Assemblage(elements, tuple(range(n_settings)), outcomes, sigmas.shape[1])
+    return Assemblage(dict.fromkeys(range(len(ops)), labels), dict(enumerate(ops)))
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -175,10 +182,10 @@ def assemblage_to_config(asm: Assemblage) -> dict:
             {
                 "setting": setting,
                 "outcome": outcome,
-                "operator": matrix_to_json(asm.elements[(setting, outcome)]),
+                "operator": matrix_to_json(op),
             }
             for setting in asm.settings
-            for outcome in asm.outcomes[setting]
+            for outcome, op in zip(asm.outcomes[setting], asm.stacks[setting])
         ],
     }
 
@@ -193,13 +200,14 @@ def assemblage_from_config(data: dict) -> Assemblage:
             "assemblage config needs bob_dim, settings and elements, "
             "each with setting, outcome and operator"
         ) from None
-    elements: dict[tuple[int, str], np.ndarray] = {}
     outcomes: dict[int, list[str]] = {s: [] for s in settings}
+    elements: dict[int, list[np.ndarray]] = {s: [] for s in settings}
     for setting, outcome, operator in entries:
         if setting not in outcomes:
             raise BadParameter(f"element setting {setting} is not listed in settings")
-        elements[(setting, outcome)] = matrix_from_json(operator)
+        element = matrix_from_json(operator)
+        if element.shape != (bob_dim, bob_dim):
+            raise DimensionMismatch("element dimension differs from bob_dim")
         outcomes[setting].append(outcome)
-    return Assemblage(
-        elements, settings, {s: tuple(o) for s, o in outcomes.items()}, bob_dim
-    )
+        elements[setting].append(element)
+    return Assemblage(outcomes, {s: np.array(ops) for s, ops in elements.items()})

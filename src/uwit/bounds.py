@@ -59,8 +59,7 @@ from .errors import (
     NoConvergence,
 )
 from .probvec import ProbVec, tensor_rows
-from .quantum import DensityState, Observable, Povm, _outcome_index, _traces, random_ket
-from .quantum import von_neumann_entropy
+from .quantum import Observable, Povm, _outcome_index, _traces, random_ket
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
@@ -145,7 +144,7 @@ def _max_overlap(x: Observable, y: Observable) -> float:
     """Largest squared eigenvector overlap max_kj tr(P_k Q_j), clipped at zero."""
     if not x.nondegenerate or not y.nondegenerate:
         raise Degenerate("observables must have nondegenerate spectra")
-    return max(0.0, float(_traces(np.array(x.effects), np.array(y.effects)).max()))
+    return max(0.0, float(_traces(x.effects, y.effects).max()))
 
 
 def flat_effects(effect_stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -292,7 +291,7 @@ def _max_topk(povms: Sequence[Povm], seeds: dict[int, np.random.SeedSequence], r
     best value of each k in the batches before it, so its rows are dropped
     once they cannot reach that value.
     """
-    effect_stacks = [np.array(p.effects) for p in povms]
+    effect_stacks = [p.effects for p in povms]
     dim = povms[0].dim
     kets = np.array([random_ket(dim, np.random.default_rng(child))
                      for seq in seeds.values() for child in seq.spawn(restarts)])
@@ -433,7 +432,7 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
     ks = list(range(1, d_out))
-    effects, sizes = flat_effects([np.array(p.effects) for p in meas])
+    effects, sizes = flat_effects([p.effects for p in meas])
     top1 = _top1_closed_form(effects, sizes) if ks else None
     cumulative = {1: top1[0]} if top1 is not None and top1[1] else {}
     ascents = [k for k in ks if k not in cumulative]
@@ -533,7 +532,7 @@ def _overlap_norms(x: Observable, y: Observable) -> tuple[np.ndarray, np.ndarray
     the k entries of its tensor statistics at (i, C) sum to ((1 + s)/2)^2.
     """
     d = x.dim
-    kets = _unit_kets(np.array([*x.effects, *y.effects]))
+    kets = _unit_kets(np.concatenate([x.effects, y.effects]))
     u = kets[:d].conj() @ kets[d:].T
     weight = np.abs(u) ** 2
     # a line block's squared norm is the sum of its entries of |U|^2; the
@@ -579,18 +578,11 @@ def omega_two_dichotomic(x: Observable, y: Observable) -> BoundVector:
     return omega_two_bases(x, y)
 
 
-def maassen_uffink(x: Observable, y: Observable, state: DensityState | None = None) -> float:
-    """Entropic bound -log2 of the largest squared eigenvector overlap, in bits.
-
-    When ``state`` is supplied its spectral entropy is added, giving the
-    state-dependent strengthening of the bound.
-    """
+def maassen_uffink(x: Observable, y: Observable) -> float:
+    """Entropic bound -log2 of the largest squared eigenvector overlap, in bits."""
     if x.dim != y.dim:
         raise DimensionMismatch("observables must share one dimension")
-    bound = float(-np.log2(_max_overlap(x, y)))
-    if state is not None:
-        bound += von_neumann_entropy(state)
-    return bound
+    return float(-np.log2(_max_overlap(x, y)))
 
 
 def _fine_grained_bounds(meas: Sequence[Povm], strings: Sequence[tuple[str, ...]],
@@ -604,7 +596,7 @@ def _fine_grained_bounds(meas: Sequence[Povm], strings: Sequence[tuple[str, ...]
         raise DimensionMismatch("all measurements must act on one common dimension")
     rows = np.array([[_outcome_index(p, label) for p, label in zip(meas, labels)]
                      for labels in strings])
-    values, vectors = _string_eigenpairs([np.array(p.effects) for p in meas], priors.values, rows)
+    values, vectors = _string_eigenpairs([p.effects for p in meas], priors.values, rows)
     fingerprints = outcome_string_fingerprints(meas, strings)
     return {
         labels: FineGrainedBound(

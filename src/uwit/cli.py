@@ -304,9 +304,10 @@ def _run_bound_only(config: dict, restarts: int, seed: int):
                                   ("grid", grid, MAX_ORACLE_GRID)):
             if value is not None and value > limit:
                 raise ConfigParse(f"oracle {key} {value} exceeds the limit of {limit}")
-        census = verify_majorization_bound(
-            bound, meas, samples=samples, seed=_field(opts, "seed", int, seed)
-        )
+        oracle_seed = _field(opts, "seed", int, seed)
+        if oracle_seed < 0:
+            raise ConfigParse(f"oracle seed must be non-negative, got {oracle_seed}")
+        census = verify_majorization_bound(bound, meas, samples=samples, seed=oracle_seed)
         if grid is not None:
             grid_witness = brute_force_topk(meas, 1, grid)
     return bound, census, grid_witness

@@ -179,9 +179,9 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
         raise FingerprintMismatch(
             "bound was not generated from these measurements, outcomes and priors"
         )
-    steered = [_steered(np.array(povm.effects), state) for povm in meas_a]
+    steered = [_steered(povm.effects, state) for povm in meas_a]
     # joint(i, j)[k, l] = tr((E_ik (x) F_jl) rho), one table per setting pair
-    joint = functools.cache(lambda i, j: _traces(np.array(meas_b[j].effects), steered[i]))
+    joint = functools.cache(lambda i, j: _traces(meas_b[j].effects, steered[i]))
     lhs = 0.0
     for weight, i, j, k, l in _fine_grained_terms(meas_a, meas_b, events, priors):
         lhs += weight * float(joint(i, j)[k, l])
@@ -258,9 +258,8 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     # traces[a, b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
     # scores[i][a] is setting i's matching score when Alice announces label a.
     scores = []
-    for povm, b, setting, labels in zip(bob_meas, bob_idx, asm.settings, alice_label_sets):
-        sigmas = np.array([asm.elements[(setting, alpha)] for alpha in labels])
-        traces = _traces(np.array(povm.effects), sigmas).tolist()
+    for povm, b, setting in zip(bob_meas, bob_idx, asm.settings):
+        traces = _traces(povm.effects, asm.stacks[setting]).tolist()
         scores.append([sum(traces[(a + t) % d][(b + t) % d] for t in range(d)) for a in range(d)])
     weights = priors_bob.values.tolist()
     for alice_string in itertools.product(range(d), repeat=m):

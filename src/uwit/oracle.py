@@ -189,7 +189,7 @@ def brute_force_topk(meas: Sequence[Povm], k: int, grid_density: int) -> float:
     if k < 1 or grid_density < 1:
         raise BadParameter("k and the grid density must be at least 1")
     dim = meas[0].dim
-    effects, sizes = flat_effects([np.array(p.effects) for p in meas])
+    effects, sizes = flat_effects([p.effects for p in meas])
     if dim == 2:
         return _bloch_maximize(effects, sizes, k, grid_density)
     if dim == 3:

@@ -3,19 +3,20 @@
 States and POVMs are plain numpy complex arrays wrapped in thin containers
 that validate their input once, when they are built, by one Hermitian/PSD
 check that assemblages share.  A :class:`DensityStack` holds many states that
-are validated together, and ``born_stats`` measures either one.  An
-observable is the POVM of its merged eigenprojectors, carrying its matrix and
-eigenvalues, so it serves wherever a POVM does.  This module owns the Born
-rule: every tr(E X) of the package (Born, joint and conditional statistics,
-steered operators, correlation tensors) is one of its two einsum contractions.
-Every matrix is limited to dimension ``MAX_DIM`` = 64, where a dense
-symmetric eigensolver is exact for all practical purposes; the named state
-and basis builders check that limit before they allocate.  The named
-measurement sets (``pauli_observable``, ``mub_bases``) and ``bell_phi_plus``
-are built and validated once per process and shared: every container here is
-a frozen dataclass over read-only arrays.  The qubit and qutrit ones are built
-when the module is imported, so the first request of a process costs what
-every later one does.
+are validated together, and ``born_stats`` measures either one.  A POVM keeps
+its effects as the one read-only (n, d, d) stack the Born rule reads.  An
+observable is the POVM of its orthogonal eigenprojectors, with their
+eigenvalues, so it serves wherever a POVM does; its matrix is derived from
+them.  This module owns the Born rule: every tr(E X) of the package (Born,
+joint and conditional statistics, steered operators, correlation tensors) is
+one of its two einsum contractions.  Every matrix is limited to dimension
+``MAX_DIM`` = 64, where a dense symmetric eigensolver is exact for all
+practical purposes; the named state and basis builders check that limit
+before they allocate.  The named measurement sets (``pauli_observable``,
+``mub_bases``) and ``bell_phi_plus`` are built and validated once per process
+and shared: every container here is a frozen dataclass over read-only arrays.
+The qubit and qutrit ones are built when the module is imported, so the first
+request of a process costs what every later one does.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ HERM_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_MERGE_TOL = 1e-8    # eigenvalues closer than this share one projector
-# Merging moves each eigenvalue by at most EIG_MERGE_TOL, and symmetrizing a
-# matrix within HERM_TOL of Hermitian moves it by less, so an observable
-# built by observable_from_matrix is within twice that of its decomposition.
-SPECTRAL_TOL = 2 * EIG_MERGE_TOL
+EFFECT_TOL = 1e-8       # POVM effects sum to I, and an observable's square to themselves
 MAX_DIM = 64
 
 
@@ -58,6 +56,16 @@ def _as_square_complex(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     _check_dim(a.shape[0])
+    if not np.isfinite(a).all():
+        raise BadParameter("matrix entries must be finite")
+    return a
+
+
+def _as_square_stack(s) -> np.ndarray:
+    a = np.asarray(s, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty (N, d, d) stack, got shape {a.shape}")
+    _check_dim(a.shape[1])
     if not np.isfinite(a).all():
         raise BadParameter("matrix entries must be finite")
     return a
@@ -102,9 +110,7 @@ def _check_hermitian_psd(stack: np.ndarray, what: str) -> None:
 
 
 def _check_density(a: np.ndarray) -> None:
-    """Raise unless every matrix is finite, Hermitian, PSD and of trace one, in that order."""
-    if not np.isfinite(a).all():
-        raise BadParameter("matrix entries must be finite")
+    """Raise unless every (finite) matrix is Hermitian, PSD and of trace one, in that order."""
     _check_hermitian_psd(a, "density matrix")
     trace = a.trace(axis1=-2, axis2=-1)
     bad = (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)
@@ -183,10 +189,7 @@ class DensityStack:
     matrices: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=complex)
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
-            raise DimensionMismatch(f"expected a nonempty (N, d, d) stack, got shape {a.shape}")
-        _check_dim(a.shape[1])
+        a = _as_square_stack(self.matrices)
         _check_density(a)
         object.__setattr__(self, "matrices", _frozen(a))
 
@@ -197,9 +200,12 @@ class DensityStack:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measurement: effects summing to the identity."""
+    """A positive operator-valued measurement: effects summing to the identity.
 
-    effects: tuple[np.ndarray, ...]
+    The effects are kept as one read-only (n, d, d) stack, the form the Born rule reads.
+    """
+
+    effects: np.ndarray
     outcome_labels: tuple[str, ...]
 
     def __post_init__(self):
@@ -216,14 +222,15 @@ class Povm:
             raise BadParameter(f"POVM outcome labels must be distinct, got {labels}")
         stack = np.array(effs)
         _check_hermitian_psd(stack, "POVM effect")
-        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > 1e-8:
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > EFFECT_TOL:
             raise BadParameter("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", tuple(_frozen(e) for e in effs))
+        stack.setflags(write=False)
+        object.__setattr__(self, "effects", stack)
         object.__setattr__(self, "outcome_labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -237,7 +244,7 @@ class Povm:
         """
         parts = [str(self.dim).encode()]
         for label, effect in zip(self.outcome_labels, self.effects):
-            parts += [label.encode(), np.ascontiguousarray(effect, dtype=complex).tobytes()]
+            parts += [label.encode(), effect.tobytes()]
         return b"".join(parts)
 
     def effect_for(self, label: str) -> np.ndarray:
@@ -254,40 +261,35 @@ def _outcome_index(povm: Povm, label: str) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Observable(Povm):
-    """A Hermitian observable: the POVM of its merged eigenprojectors.
+    """A Hermitian observable: the POVM of its orthogonal eigenprojectors.
 
     ``effects`` are the eigenprojectors in order of descending eigenvalue;
     outcome labels default to the eigenvalues to 12 significant digits, or
-    in full where two agree in those.  The projectors are validated as a
-    POVM once, on construction, and the matrix must equal the sum of
-    eigenvalue times projector within ``SPECTRAL_TOL`` (relative to the
-    largest eigenvalue magnitude, when that exceeds 1).  The matrix is kept
-    as a read-only copy.
+    in full where two agree in those.  On construction the effects are
+    validated as a POVM and each must equal its own square within
+    ``EFFECT_TOL``; effects that are PSD, sum to the identity and are
+    idempotent are orthogonal projectors, so a nondegenerate observable's
+    effects are rank one.  The matrix is derived from them.
     """
 
-    matrix: np.ndarray
     eigenvalues: tuple[float, ...]
 
-    def __init__(self, matrix, eigenvalues, effects, outcome_labels=()):
+    def __init__(self, eigenvalues, effects, outcome_labels=()):
         eigenvalues = tuple(eigenvalues)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         default = tuple(f"{ev:.12g}" for ev in eigenvalues)
         if len(set(default)) < len(default):
             default = tuple(repr(float(ev)) for ev in eigenvalues)
         super().__init__(effects, tuple(outcome_labels) or default)
-        m = _as_square_complex(matrix)
-        if m.shape[0] != self.dim or len(eigenvalues) != self.n_outcomes:
-            raise DimensionMismatch(
-                f"a {m.shape[0]}-dimensional matrix with {len(eigenvalues)} eigenvalues "
-                f"does not fit {self.n_outcomes} effects of dimension {self.dim}"
-            )
-        spectral = sum(ev * e for ev, e in zip(eigenvalues, self.effects))
-        gap = float(np.max(np.abs(m - spectral)))
-        if gap > SPECTRAL_TOL * max(1.0, max(abs(ev) for ev in eigenvalues)):
-            raise BadParameter(
-                f"observable matrix differs from its spectral decomposition by {gap:.3e}"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
+        if len(eigenvalues) != self.n_outcomes:
+            raise DimensionMismatch(f"{len(eigenvalues)} eigenvalues for {self.n_outcomes} effects")
+        if np.abs(self.effects @ self.effects - self.effects).max() > EFFECT_TOL:
+            raise BadParameter("observable effects must be projectors")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only matrix sum_k eigenvalue_k E_k, built on first use in eigenvalue order."""
+        return _frozen(sum(ev * e for ev, e in zip(self.eigenvalues, self.effects)))
 
     @property
     def nondegenerate(self) -> bool:
@@ -312,7 +314,7 @@ def observable_from_matrix(m, outcome_labels: tuple[str, ...] | None = None) -> 
         effects.append(block @ block.conj().T)
         i = j + 1
     labels = outcome_labels if outcome_labels is not None else ()
-    return Observable(m, tuple(eigenvalues), tuple(effects), labels)
+    return Observable(eigenvalues, effects, labels)
 
 
 _PAULI_LABELS = {"x": ("+", "-"), "y": ("+i", "-i"), "z": ("0", "1")}
@@ -336,7 +338,7 @@ def pauli_observable(axis: str) -> Observable:
 
 def _pauli(axis: str, labels: tuple[str, str]) -> Observable:
     m = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis]
-    return Observable(m, (1.0, -1.0), ((PAULI_I + m) / 2.0, (PAULI_I - m) / 2.0), labels)
+    return Observable((1.0, -1.0), ((PAULI_I + m) / 2.0, (PAULI_I - m) / 2.0), labels)
 
 
 def bloch_observable(direction) -> Observable:
@@ -345,9 +347,7 @@ def bloch_observable(direction) -> Observable:
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise BadParameter("direction must be a unit 3-vector")
     m = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    pp = (PAULI_I + m) / 2.0
-    pm = (PAULI_I - m) / 2.0
-    return Observable(m, (1.0, -1.0), (pp, pm), ("+", "-"))
+    return Observable((1.0, -1.0), ((PAULI_I + m) / 2.0, (PAULI_I - m) / 2.0), ("+", "-"))
 
 
 def born_stats(state: DensityState | DensityStack, meas: Povm) -> ProbVec | np.ndarray:
@@ -363,7 +363,7 @@ def born_stats(state: DensityState | DensityStack, meas: Povm) -> ProbVec | np.n
         )
     single = isinstance(state, DensityState)
     rho = state.matrix if single else state.matrices
-    probs = np.clip(_traces(np.array(meas.effects), rho), 0.0, None)
+    probs = np.clip(_traces(meas.effects, rho), 0.0, None)
     return ProbVec(probs) if single else normalized_rows(probs)
 
 
@@ -385,7 +385,7 @@ def product_observable_stats(state: DensityState, a: Observable, b: Observable) 
         raise DimensionMismatch(
             f"observables of dimension ({a.dim}, {b.dim}) do not fit factors {state.dims}"
         )
-    joint = np.clip(_traces(np.array(b.effects), _steered(np.array(a.effects), state)), 0.0, None)
+    joint = np.clip(_traces(b.effects, _steered(a.effects, state)), 0.0, None)
     n = a.n_outcomes
     if b.n_outcomes != n:
         return ProbVec(joint.ravel())
@@ -525,8 +525,7 @@ def _basis_observable(vectors) -> Observable:
     """Observable of basis ``vectors`` with eigenvalues d - 1, ..., 0 labelled "0", ..."""
     projs = tuple(projector(v) for v in vectors)
     eigenvalues = tuple(float(x) for x in range(len(projs) - 1, -1, -1))
-    matrix = sum(ev * p for ev, p in zip(eigenvalues, projs))
-    return Observable(matrix, eigenvalues, projs, tuple(str(j) for j in range(len(projs))))
+    return Observable(eigenvalues, projs, tuple(str(j) for j in range(len(projs))))
 
 
 def correlation_tensor(state: DensityState) -> np.ndarray:

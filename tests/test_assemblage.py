@@ -130,10 +130,14 @@ class TestLhsAssemblage:
     def test_single_hidden_state(self):
         sigma = DensityState(projector(KET0))
         asm = lhs_assemblage([(1.0, sigma)], [[[1.0, 0.0], [0.5, 0.5]]])
-        for (setting, outcome), op in asm.elements.items():
-            weight = np.trace(op).real
-            if weight > 1e-12:
-                assert np.allclose(op / weight, sigma.matrix, atol=1e-12)
+        for setting in asm.settings:
+            # each setting is one read-only (n, d, d) stack
+            ops = asm.stacks[setting]
+            assert ops.shape == (2, 2, 2) and not ops.flags.writeable
+            for op in ops:
+                weight = np.trace(op).real
+                if weight > 1e-12:
+                    assert np.allclose(op / weight, sigma.matrix, atol=1e-12)
 
     def test_classically_correlated(self):
         hidden = [(0.5, DensityState(projector(KET0))), (0.5, DensityState(projector(KET1)))]
@@ -159,31 +163,33 @@ class TestLhsAssemblage:
 class TestValidation:
     def test_signaling_assemblage_rejected(self):
         # setting 1 sums to a different reduced state
-        elements = {
-            (0, "0"): projector(KET0) / 2,
-            (0, "1"): projector(KET1) / 2,
-            (1, "0"): projector(KET0),
-            (1, "1"): np.zeros((2, 2), dtype=complex),
+        stacks = {
+            0: [projector(KET0) / 2, projector(KET1) / 2],
+            1: [projector(KET0), np.zeros((2, 2), dtype=complex)],
         }
         with pytest.raises(BadParameter):
-            Assemblage(elements, (0, 1), {0: ("0", "1"), 1: ("0", "1")}, 2)
+            Assemblage({0: ("0", "1"), 1: ("0", "1")}, stacks)
 
     def test_repeated_outcome_rejected(self):
         # one element listed twice sums to a unit-trace reduced state
-        elements = {(0, "0"): np.eye(2, dtype=complex) / 4}
+        quarter = np.eye(2, dtype=complex) / 4
         with pytest.raises(BadParameter, match="distinct"):
-            Assemblage(elements, (0,), {0: ("0", "0")}, 2)
+            Assemblage({0: ("0", "0")}, {0: [quarter, quarter]})
         entry = {"setting": 0, "outcome": "0", "operator": matrix_to_json(np.eye(2) / 4)}
         with pytest.raises(BadParameter, match="distinct"):
             assemblage_from_config({"bob_dim": 2, "settings": [0], "elements": [entry, entry]})
 
     def test_negative_element_rejected(self):
-        elements = {
-            (0, "0"): np.diag([0.75, -0.25]).astype(complex),
-            (0, "1"): np.diag([-0.25, 0.75]).astype(complex),
-        }
+        stacks = {0: [np.diag([0.75, -0.25]), np.diag([-0.25, 0.75])]}
         with pytest.raises(BadParameter):
-            Assemblage(elements, (0,), {0: ("0", "1")}, 2)
+            Assemblage({0: ("0", "1")}, stacks)
+
+    def test_settings_of_outcomes_and_stacks_must_agree(self):
+        half = [projector(KET0) / 2, projector(KET1) / 2]
+        with pytest.raises(BadParameter, match="same settings"):
+            Assemblage({0: ("0", "1")}, {1: half})
+        with pytest.raises(BadParameter, match="same settings"):
+            Assemblage({0: ("0", "1"), 1: ("0", "1")}, {0: half})
 
 
 class TestSerialization:
@@ -191,9 +197,9 @@ class TestSerialization:
         asm = steer(werner(0.8), [SX.povm(), SY.povm()])
         config = assemblage_to_config(asm)
         rebuilt = assemblage_from_config(config)
-        assert rebuilt.settings == asm.settings
-        for key, op in asm.elements.items():
-            assert np.allclose(rebuilt.elements[key], op, atol=1e-15)
+        assert rebuilt.settings == asm.settings and rebuilt.outcomes == asm.outcomes
+        for setting, ops in asm.stacks.items():
+            assert np.allclose(rebuilt.stacks[setting], ops, atol=1e-15)
 
     def test_bad_config(self):
         configs = [

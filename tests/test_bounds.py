@@ -25,7 +25,6 @@ from uwit import (
     make_probvec,
     majorized_by,
     matched_outcome_events,
-    maximally_mixed,
     mub_bases,
     observable_from_matrix,
     omega_numeric,
@@ -35,6 +34,7 @@ from uwit import (
     tensor_all,
     uniform,
     verify_majorization_bound,
+    von_neumann_entropy,
 )
 from uwit import bounds, cli
 from uwit.assemblage import matrix_from_json, matrix_to_json
@@ -802,9 +802,6 @@ class TestMaassenUffink:
         a, b = mub_bases(3, 2)
         assert maassen_uffink(a, b) == pytest.approx(np.log2(3), abs=1e-9)
 
-    def test_state_dependent_term(self):
-        assert maassen_uffink(SX, SY, maximally_mixed(2)) == pytest.approx(2.0)
-
     def test_degenerate(self):
         with pytest.raises(Degenerate):
             maassen_uffink(observable_from_matrix(np.eye(2)), SX)
@@ -821,7 +818,7 @@ class TestMaassenUffink:
             state = random_mixed_state(2, rng)
             total = shannon(born_stats(state, a.povm())) + shannon(born_stats(state, b.povm()))
             assert total >= maassen_uffink(a, b) - 1e-9
-            assert total >= maassen_uffink(a, b, state) - 1e-9
+            assert total >= maassen_uffink(a, b) + von_neumann_entropy(state) - 1e-9
 
 
 class TestFineGrained:

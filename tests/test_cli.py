@@ -605,6 +605,7 @@ MALFORMED = {
     "non-numeric-samples": ("bound_only", ("oracle", "samples"), "many"),
     "too-many-samples": ("bound_only", ("oracle", "samples"), 10**6 + 1),
     "too-dense-oracle-grid": ("bound_only", ("oracle", "grid"), 10**6 + 1),
+    "negative-oracle-seed": ("bound_only", ("oracle", "seed"), -1),
     "numeric-steering-outcomes": ("fine_grained_steering", ("outcomes",), 5),
     "numeric-alice-directions": ("preset:paper-eq12", ("alice_directions",), 5),
     "zero-step": (SCAN, ("scan", "grid", "step"), 0),
@@ -619,6 +620,9 @@ MALFORMED = {
     "empty-grid": (SCAN, ("scan", "grid", "start"), 2.0),
     "element-without-setting": ("assemblage", ELEMENT_SETTING, DROP),
     "element-with-unknown-setting": ("assemblage", ELEMENT_SETTING, 7),
+    "element-of-another-dimension": (
+        "assemblage", ("assemblage", "elements", 0, "operator"), matrix_to_json(np.eye(3) / 2)
+    ),
     "empty-settings": (
         "assemblage", ("assemblage",), {"bob_dim": 2, "settings": [], "elements": []}
     ),

@@ -359,7 +359,7 @@ class TestSteeringFineGrained:
             for i, a in enumerate(column):
                 labels = asm.outcomes[asm.settings[i]]
                 for t in range(3):
-                    sigma = asm.elements[(asm.settings[i], labels[(a + t) % 3])]
+                    sigma = asm.element(asm.settings[i], labels[(a + t) % 3])
                     effect = bob[i].effects[(bob_idx[i] + t) % 3]
                     lhs += priors.values[i] * float(np.trace(effect @ sigma).real)
             assert report.lhs_value == pytest.approx(lhs, abs=1e-12)

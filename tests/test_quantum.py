@@ -473,7 +473,7 @@ class TestObservableIsPovm:
 
     def test_projectors_not_summing_to_identity_rejected(self):
         with pytest.raises(BadParameter):
-            Observable(PAULI_Z, (1.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
+            Observable((1.0, -1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
 
 
 # default and fixed labels with the fingerprint of each measurement set
@@ -563,15 +563,13 @@ class TestObservableMatrix:
         assert built.matrix[0, 0] == 2.0
         assert np.array_equal(pauli_observable("x").matrix, [[0, 1], [1, 0]])
 
-    def test_matrix_must_match_its_spectral_decomposition(self):
-        with pytest.raises(BadParameter):
-            Observable(PAULI_Z, (1, -1), SX.effects)
-        with pytest.raises(BadParameter):
-            Observable(PAULI_Z, (1, -1.5), SZ.effects)
+    def test_effects_must_be_projectors_one_per_eigenvalue(self):
+        # PSD effects summing to I that are not projectors: paired with
+        # pauli_x they would get a proven closed-form bound that states exceed
+        with pytest.raises(BadParameter, match="projectors"):
+            Observable((1.0, -1.0), (0.7 * np.eye(2), 0.3 * np.eye(2)))
         with pytest.raises(DimensionMismatch):
-            Observable(PAULI_Z, (1, 0, -1), SZ.effects)
-        with pytest.raises(DimensionMismatch):
-            Observable(np.eye(3), (1, -1), SZ.effects)
+            Observable((1, 0, -1), SZ.effects)
 
     def test_merged_and_large_scale_decompositions_accepted(self):
         obs = observable_from_matrix(np.diag([1.0, 1.0 + 1e-9, -1.0]))
@@ -649,7 +647,12 @@ class TestInterning:
         first = INTERNED[name]()
         assert INTERNED[name]() is first
         for item in first if isinstance(first, tuple) else (first,):
-            for a in (item.matrix, *getattr(item, "effects", ())):
+            arrays = [item.matrix]
+            if isinstance(item, Povm):
+                # the effects are one (n, d, d) stack, read-only whole and row by row
+                assert item.effects.shape == (item.n_outcomes, item.dim, item.dim)
+                arrays += [item.effects, *item.effects]
+            for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0, 0] = 0.0
