@@ -63,6 +63,7 @@ from .quantum import Observable, Povm, _outcome_index, _traces, random_ket
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
+ALTERNATE_MAXITER = 200  # iterations of the product-state alternation before NoConvergence
 # A closed-form entry lies between its witness state's value and that value
 # plus this margin (32 ulps of 1); the closed form and the witness value
 # differ by at most 11 ulps in random pairs of bases up to d = 64.
@@ -694,7 +695,8 @@ def _top_eigenvectors(coeffs: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
 
 def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.ndarray,
-               effects_b: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               effects_b: np.ndarray, maxiter: int = ALTERNATE_MAXITER,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alternating eigenvector ascent from every row of the (R, da) and (R, db) start kets.
 
     The objective is the sum over terms t of weights[t] <u|A_t|u> <v|B_t|v>
@@ -753,7 +755,7 @@ def _product_closed_form(weights: np.ndarray, effects_a: np.ndarray,
 
 def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
                                outcomes, priors: ProbVec, restarts: int = 32,
-                               seed: int = 0, maxiter: int = 200) -> FineGrainedBound:
+                               seed: int = 0) -> FineGrainedBound:
     """Fine-grained bound over product states: a closed form where attained, else an ascent.
 
     ``priors`` runs over setting pairs in row-major order.  Where every
@@ -784,7 +786,7 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(restarts)]
         u0, v0 = (np.array(kets) for kets in zip(*((random_ket(da, rng), random_ket(db, rng))
                                                     for rng in rngs)))
-        f, u, v = _alternate(u0, v0, weights, effects_a, effects_b, maxiter)
+        f, u, v = _alternate(u0, v0, weights, effects_a, effects_b)
         best = int(np.argmax(f))
         found = float(f[best]) + NUMERIC_SLACK, u[best], v[best]
     value, u, v = found

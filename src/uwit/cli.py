@@ -9,6 +9,8 @@ references only through ``_ref``; both raise ConfigParse, so a malformed
 config exits 1 with a one-line message.  ``_CRITERIA`` holds one builder per
 criterion, shared by scenarios and scans: it parses its measurements and
 computes its bounds once, then returns a function that evaluates one state.
+A steering ``fine_grained`` config without ``outcomes`` reports every Bob
+outcome string, as ``preset:paper-eq12`` (the paper's Eq. 12) does on x and z.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .bounds import (
     setting_pairs,
 )
 from .criteria import (
-    BOB_DIRECTIONS,
     DetectionReport,
     entanglement_fine_grained,
     entanglement_universal,
     steering_fine_grained,
-    steering_fine_grained_strings,
     steering_universal,
 )
 from .errors import ConfigParse, UwitError
@@ -58,7 +58,6 @@ from .quantum import (
     Observable,
     Povm,
     bell_phi_plus,
-    bloch_observable,
     isotropic,
     maximally_mixed,
     mub_bases,
@@ -84,9 +83,9 @@ PRESETS: dict[str, dict] = {
     },
     "paper-eq12": {
         "scenario_kind": "steering",
-        "flavor": "fine_grained_tensor",
+        "flavor": "fine_grained",
         "state": "bell_phi_plus",
-        "alice_directions": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        "measurements": {"alice": ["pauli_x", "pauli_z"], "bob": ["pauli_x", "pauli_z"]},
     },
 }
 
@@ -157,10 +156,6 @@ _PAULIS = ("pauli_x", "pauli_y", "pauli_z")
 def _dims(value) -> tuple[int, int]:
     da, db = map(operator.index, value)
     return da, db
-
-
-def _vectors(value) -> list[np.ndarray]:
-    return list(np.asarray(value, dtype=float))
 
 
 def _state(spec) -> DensityState:
@@ -255,23 +250,17 @@ def _limit_reports(meas) -> None:
 
 
 def _steering_fine_grained(config: dict, restarts: int, seed: int):
+    """The matching game for the configured Bob string, or for every one without ``outcomes``."""
     meas = _field(config, "measurements")
     assemblage = _steered(config, meas)
     bob = _measurements(_field(meas, "bob"))
-    _limit_reports(bob)  # the matching game has one Alice column per Bob string
-    outcomes = _field(config, "outcomes", tuple)
+    outcomes = _field(config, "outcomes", tuple, None)
+    # one report per Alice column and requested Bob string; the game gives
+    # Alice as many outcomes per setting as Bob, so as many columns as strings
+    _limit_reports(bob if outcomes is not None else bob * 2)
     priors = _field(config, "priors", ProbVec, None) or uniform(len(bob))
     bounds = fine_grained_bound_map(bob, priors)
     return lambda state: steering_fine_grained(assemblage(state), bob, outcomes, priors, bounds)
-
-
-def _steering_fine_grained_tensor(config: dict, restarts: int, seed: int):
-    alice = [bloch_observable(v) for v in _field(config, "alice_directions", _vectors)]
-    bob = [bloch_observable(v) for v in _field(config, "bob_directions", _vectors, BOB_DIRECTIONS)]
-    _limit_reports(alice + bob)  # every Alice column for each of Bob's strings
-    priors = uniform(len(bob))
-    bounds = fine_grained_bound_map(bob, priors)
-    return lambda state: steering_fine_grained_strings(steer(state, alice), bob, priors, bounds)
 
 
 _CRITERIA = {
@@ -279,10 +268,7 @@ _CRITERIA = {
     "entanglement_fine_grained": _entanglement_fine_grained,
     "steering_universal": _steering_universal,
     "steering_fine_grained": _steering_fine_grained,
-    "steering_fine_grained_tensor": _steering_fine_grained_tensor,
 }
-# Criteria that take a configured assemblage in place of the state.
-_ASSEMBLAGE_CRITERIA = ("steering_universal", "steering_fine_grained")
 
 
 def _criterion(name: str, config: dict, restarts: int, seed: int):
@@ -420,7 +406,8 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
 
     if kind in ("entanglement", "steering"):
         name = f"{kind}_{_field(config, 'flavor', str, 'universal')}"
-        from_assemblage = name in _ASSEMBLAGE_CRITERIA and "assemblage" in config
+        # steering criteria take a configured assemblage in place of the state
+        from_assemblage = kind == "steering" and "assemblage" in config
         state = None if from_assemblage else _field(config, "state", _state)
         reports = _criterion(name, config, restarts, seed)(state)
     elif kind == "bound_only":

@@ -197,16 +197,17 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
 
 
 def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
-                          outcomes: Sequence[str], priors_bob: ProbVec,
+                          outcomes: Sequence[str] | None, priors_bob: ProbVec,
                           bounds) -> list[DetectionReport]:
-    """Fine-grained steering criteria, one report per Alice outcome column.
+    """Fine-grained steering criteria, one report per Alice column and Bob string.
 
-    Bob's measurement i is paired with Alice's setting i.  For the column
-    with Alice string a' and the configured Bob string a, both named in the
-    report's ``column``, the score is the prior-weighted joint probability
-    that Bob's outcome matches Alice's announcement under the translation
-    aligning a'_i with a_i.  Exceeding the fine-grained bound certifies
-    steering.
+    Bob's measurement i is paired with Alice's setting i.  ``outcomes`` is
+    one of Bob's outcome strings, or None for every one of them in product
+    order.  For the column with Alice string a' and Bob string a, both named
+    in the report's ``column``, the score is the prior-weighted joint
+    probability that Bob's outcome matches Alice's announcement under the
+    translation aligning a'_i with a_i.  Exceeding the fine-grained bound
+    certifies steering.
 
     ``bounds`` maps every one of Bob's outcome strings (tuples of labels) to
     its :class:`FineGrainedBound`, as :func:`fine_grained_bound_map` builds
@@ -214,27 +215,35 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     every column is checked against the largest of these bounds.
     """
     m = len(bob_meas)
-    if len(asm.settings) != m:
+    settings = asm.settings
+    if len(settings) != m:
         raise DimensionMismatch("one Alice setting per Bob measurement is required")
-    if len(outcomes) != m or priors_bob.dim != m:
+    if (outcomes is not None and len(outcomes) != m) or priors_bob.dim != m:
         raise DimensionMismatch("outcome string and priors must cover Bob's measurements")
     d = bob_meas[0].n_outcomes
-    for i, povm in enumerate(bob_meas):
+    alice_labels = [asm.outcomes[setting] for setting in settings]
+    for povm, labels in zip(bob_meas, alice_labels):
         if povm.dim != asm.bob_dim:
             raise DimensionMismatch("Bob measurement dimension differs from assemblage")
         if povm.n_outcomes != d:
             raise DimensionMismatch("matching game needs equal outcome counts per measurement")
-        if len(asm.outcomes[asm.settings[i]]) != d:
+        if len(labels) != d:
             raise DimensionMismatch(
                 "matching game needs Alice outcome counts equal to Bob's"
             )
-    bob_idx = [_outcome_index(povm, label) for povm, label in zip(bob_meas, outcomes)]
-    bob_string = tuple(povm.outcome_labels[b] for povm, b in zip(bob_meas, bob_idx))
+    strings = list(itertools.product(*(p.outcome_labels for p in bob_meas)))
+    # the outcome indices and the labels of each requested Bob string, and
+    # named[i], the indices of Bob's outcome i among them
+    if outcomes is None:
+        rows, requested, named = itertools.product(range(d), repeat=m), strings, [range(d)] * m
+    else:
+        row = [_outcome_index(povm, label) for povm, label in zip(bob_meas, outcomes)]
+        requested = [tuple(povm.outcome_labels[b] for povm, b in zip(bob_meas, row))]
+        rows, named = [row], [(b,) for b in row]
 
     if not isinstance(bounds, Mapping):
         raise BadParameter("bounds must map every Bob outcome string to its bound")
     bound_map = {tuple(k): v for k, v in bounds.items()}
-    strings = list(itertools.product(*(p.outcome_labels for p in bob_meas)))
     fingerprints = outcome_string_fingerprints(bob_meas, strings)
     used = []
     for labels in strings:
@@ -253,55 +262,52 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
         raise FingerprintMismatch("bound was generated under different priors")
     bound_value = max(b.value for b in used)
     certified = all(b.certified for b in used)
-    reports: list[DetectionReport] = []
-    alice_label_sets = [asm.outcomes[asm.settings[i]] for i in range(m)]
     # traces[a, b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
-    # scores[i][a] is setting i's matching score when Alice announces label a.
+    # scores[i][b][a] is its matching score for Bob's b and Alice's announced a
     scores = []
-    for povm, b, setting in zip(bob_meas, bob_idx, asm.settings):
+    for povm, setting, bs in zip(bob_meas, settings, named):
         traces = _traces(povm.effects, asm.stacks[setting]).tolist()
-        scores.append([sum(traces[(a + t) % d][(b + t) % d] for t in range(d)) for a in range(d)])
+        scores.append({b: [sum(traces[(a + t) % d][(b + t) % d] for t in range(d))
+                           for a in range(d)] for b in bs})
+    # each Alice column's outcome indices and the text naming its labels
+    columns = list(zip(itertools.product(range(d), repeat=m),
+                       map(str, itertools.product(*alice_labels))))
     weights = priors_bob.values.tolist()
-    for alice_string in itertools.product(range(d), repeat=m):
-        lhs = 0.0
-        for i, a in enumerate(alice_string):
-            lhs += weights[i] * scores[i][a]
-        margin = lhs - bound_value
-        column_labels = tuple(alice_label_sets[i][alice_string[i]] for i in range(m))
-        reports.append(
-            DetectionReport(
-                criterion="steering_fine_grained",
-                lhs_value=float(lhs),
-                bound_value=float(bound_value),
-                margin=float(margin),
-                verdict=_verdict(margin),
-                certified=certified,
-                column=f"a={bob_string}, a'={column_labels}",
+    reports: list[DetectionReport] = []
+    for row, bob_string in zip(rows, requested):
+        prefix = f"a={bob_string}, a'="
+        row_scores = [scores[i][b] for i, b in enumerate(row)]
+        for alice_string, alice_text in columns:
+            lhs = 0.0
+            for w, score, a in zip(weights, row_scores, alice_string):
+                lhs += w * score[a]
+            margin = lhs - bound_value
+            reports.append(
+                DetectionReport(
+                    criterion="steering_fine_grained",
+                    lhs_value=float(lhs),
+                    bound_value=float(bound_value),
+                    margin=float(margin),
+                    verdict=_verdict(margin),
+                    certified=certified,
+                    column=prefix + alice_text,
+                )
             )
-        )
     return reports
 
 
-def steering_fine_grained_strings(asm: Assemblage, bob_meas: Sequence[Povm], priors_bob: ProbVec,
-                                  bounds) -> list[DetectionReport]:
-    """:func:`steering_fine_grained` for each of Bob's outcome strings, in product order."""
-    return [report for labels in itertools.product(*(p.outcome_labels for p in bob_meas))
-            for report in steering_fine_grained(asm, bob_meas, labels, priors_bob, bounds)]
-
-
 def steering_fine_grained_tensor(t: np.ndarray, alice_directions: Sequence,
-                                 bob_directions: Sequence | None = None,
-                                 priors: ProbVec | None = None) -> list[DetectionReport]:
+                                 bob_directions: Sequence | None = None) -> list[DetectionReport]:
     """Qubit fine-grained steering of the state a correlation tensor encodes.
 
-    The paper's Eq. 12: :func:`steering_fine_grained_strings` with Bloch
-    observables along the measurement directions (Bob's default to x and z)
-    and uniform priors unless given.  A tensor that encodes no state (a
-    matrix that is not PSD or of trace one) raises.
+    The paper's Eq. 12: :func:`steering_fine_grained` over every one of
+    Bob's outcome strings, with Bloch observables along the measurement
+    directions (Bob's default to x and z) and uniform priors.  A tensor that
+    encodes no state (a matrix that is not PSD or of trace one) raises.
     """
     state = state_from_correlation_tensor(t)
     bob_directions = BOB_DIRECTIONS if bob_directions is None else bob_directions
     bob = [bloch_observable(r) for r in bob_directions]
-    priors = uniform(len(bob)) if priors is None else priors
+    priors = uniform(len(bob))
     asm = steer(state, [bloch_observable(s) for s in alice_directions])
-    return steering_fine_grained_strings(asm, bob, priors, fine_grained_bound_map(bob, priors))
+    return steering_fine_grained(asm, bob, None, priors, fine_grained_bound_map(bob, priors))

@@ -976,11 +976,17 @@ class TestFineGrainedProduct:
             assert np.allclose(v_end[i], v_i[0], atol=1e-12)
 
     def test_still_improving_after_maxiter_raises(self):
-        meas = [SX.povm(), SZ.povm()]
-        priors = make_probvec((0.5, 0.0, 0.0, 0.5))
-        with pytest.raises(NoConvergence):
-            fine_grained_bound_product(meas, meas, (("+", "0"), ("+", "0")), priors,
-                                       restarts=8, seed=1, maxiter=1)
+        # the random terms of test_batch_rows_do_not_interact need at least
+        # four iterations; the default limit lets them converge
+        rng = np.random.default_rng(2)
+        effects_a = np.array([projector(random_ket(3, rng)) for _ in range(5)])
+        effects_b = np.array([projector(random_ket(3, rng)) for _ in range(5)])
+        weights = rng.exponential(size=5)
+        u = np.array([random_ket(3, rng) for _ in range(8)])
+        v = np.array([random_ket(3, rng) for _ in range(8)])
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            _alternate(u, v, weights, effects_a, effects_b, maxiter=1)
+        assert len(_alternate(u, v, weights, effects_a, effects_b)[0]) == 8
 
     def test_empty_event_drops_a_setting(self):
         # emptying one setting pair's event leaves the prior-weighted

@@ -98,10 +98,9 @@ SCANS = {
         werner_scan_config("entanglement_fine_grained", measurements={"x": XZ, "y": XZ}),
         0.5,
     ),
-    "steering_fine_grained_tensor": (
-        werner_scan_config(
-            "steering_fine_grained_tensor", alice_directions=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-        ),
+    # without outcomes: every Bob string, as in the paper's Eq. 12
+    "steering_fine_grained": (
+        werner_scan_config("steering_fine_grained", measurements={"alice": XZ, "bob": XZ}),
         1 / np.sqrt(2),
     ),
 }
@@ -271,9 +270,10 @@ class TestPresets:
         assert len(validations) == 1
         reports = json.loads(out.read_text())["reports"]
         assert {r["criterion"] for r in reports} == {"steering_fine_grained"}
-        signs = [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
-        assert [r["column"] for r in reports] == [f"a={b}, a'={a}" for b in signs for a in signs]
-        detected = [b == a for b in signs for a in signs]
+        # Pauli x and z on both sides, Bob's strings in product order
+        labels = [("+", "0"), ("+", "1"), ("-", "0"), ("-", "1")]
+        assert [r["column"] for r in reports] == [f"a={b}, a'={a}" for b in labels for a in labels]
+        detected = [b == a for b in labels for a in labels]
         assert [r["verdict"] == "Detected" for r in reports] == detected
 
     def test_presets_clean_on_maximally_mixed(self):
@@ -607,7 +607,7 @@ MALFORMED = {
     "too-dense-oracle-grid": ("bound_only", ("oracle", "grid"), 10**6 + 1),
     "negative-oracle-seed": ("bound_only", ("oracle", "seed"), -1),
     "numeric-steering-outcomes": ("fine_grained_steering", ("outcomes",), 5),
-    "numeric-alice-directions": ("preset:paper-eq12", ("alice_directions",), 5),
+    "retired-tensor-flavor": ("preset:paper-eq12", ("flavor",), "fine_grained_tensor"),
     "zero-step": (SCAN, ("scan", "grid", "step"), 0),
     "negative-step": (SCAN, ("scan", "grid", "step"), -0.1),
     "too-many-scan-points": (SCAN, ("scan", "grid", "step"), 1e-15),
@@ -650,19 +650,23 @@ MALFORMED = {
 }
 
 
-TWELVE_DIRECTIONS = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] * 6
+TWELVE_PAULIS = XZ * 6
 # Requests past MAX_REPORTS reports per state, refused before any bound is
 # built: 7^8 Alice columns, and 2^12 columns for each of 2^12 Bob strings
 OVERSIZED = {
     "fine-grained-mub-7-8": lambda: mutated(base_config("fine_grained_steering"), (
         "measurements",), {"alice": "mub:7:8", "bob": "mub:7:8"}),
-    "tensor-12-directions": lambda: base_config("preset:paper-eq12") | {
-        "alice_directions": TWELVE_DIRECTIONS, "bob_directions": TWELVE_DIRECTIONS},
+    "pauli-12-every-string": lambda: mutated(base_config("preset:paper-eq12"), (
+        "measurements",), {"alice": TWELVE_PAULIS, "bob": TWELVE_PAULIS}),
 }
 
 
 @pytest.mark.parametrize("name", OVERSIZED)
-def test_oversized_request_exits_1(tmp_path, capsys, name):
+def test_oversized_request_exits_1(tmp_path, capsys, monkeypatch, name):
+    def no_bounds(*args):
+        raise AssertionError("a bound was built for an oversized request")
+
+    monkeypatch.setattr(cli, "fine_grained_bound_map", no_bounds)
     assert main([write_config(tmp_path, OVERSIZED[name]())]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"limit of {cli.MAX_REPORTS}" in err
@@ -786,5 +790,11 @@ def test_schema_declares_every_key_read(monkeypatch):
         monkeypatch.setattr(cli, "load_config", lambda _, config=config: config)
         assert cli.run(name, quiet=True, restarts=2) in (0, 2)
     assert ("measurements", "y") in seen and ("scan", "bisect_tol") in seen
+    # the preset reads its absent outcomes: every Bob string
+    assert ("outcomes",) in seen
     undeclared = sorted(str(p) for p in seen if not declared(schema, p))
     assert not undeclared, undeclared
+    # the schema offers exactly the criteria the CLI runs
+    assert schema["properties"]["scan"]["properties"]["criterion"]["enum"] == list(cli._CRITERIA)
+    flavors = {name.split("_", 1)[1] for name in cli._CRITERIA}
+    assert set(schema["properties"]["flavor"]["enum"]) == flavors

@@ -7,6 +7,7 @@ import pytest
 from uwit import (
     BadParameter,
     DensityState,
+    DimensionMismatch,
     FingerprintMismatch,
     UnsoundQuantifier,
     MIN_ENTROPY,
@@ -18,11 +19,13 @@ from uwit import (
     fine_grained_bound_map,
     fine_grained_bound_product,
     get_quantifier,
+    isotropic,
     kron_state,
     lhs_assemblage,
     make_probvec,
     matched_outcome_events,
     maximally_mixed,
+    mub_bases,
     observable_from_matrix,
     omega_two_dichotomic,
     pauli_observable,
@@ -35,6 +38,7 @@ from uwit import (
     uniform,
     werner,
 )
+from uwit import criteria
 from uwit.bounds import (
     ALTERNATING_NUMERIC,
     ANALYTIC_PRODUCT,
@@ -391,6 +395,46 @@ class TestSteeringFineGrained:
         asm = steer(bell_phi_plus(), XZ_POVMS)
         with pytest.raises(BadParameter, match="unknown outcome"):
             steering_fine_grained(asm, XZ_POVMS, ("+", "2"), HALF, xz_bound_map())
+
+    @staticmethod
+    def every_string_cases():
+        rng = np.random.default_rng(72)
+        mub32 = list(mub_bases(3, 2))
+        hidden, response = random_lhs_fixture(rng, bob_dim=3, n_outcomes=3)
+        return {
+            "x/z on bell_phi_plus": (steer(bell_phi_plus(), XZ_POVMS), XZ_POVMS, HALF),
+            "mub:3:2 on isotropic:3:0.7": (steer(isotropic(3, 0.7), mub32), mub32,
+                                           make_probvec((0.3, 0.7))),
+            "lhs assemblage": (lhs_assemblage(hidden, response), mub32, uniform(2)),
+        }
+
+    def test_every_string_is_the_one_string_calls_concatenated(self):
+        def bits(r):
+            return (r.lhs_value.hex(), r.bound_value.hex(), r.margin.hex(), r.verdict,
+                    r.certified, r.column)
+
+        for name, (asm, bob, priors) in self.every_string_cases().items():
+            bounds = fine_grained_bound_map(bob, priors)
+            every = steering_fine_grained(asm, bob, None, priors, bounds)
+            one_by_one = [r for labels in itertools.product(*(p.outcome_labels for p in bob))
+                          for r in steering_fine_grained(asm, bob, labels, priors, bounds)]
+            assert len(every) == len(bounds) ** 2, name
+            assert [bits(r) for r in every] == [bits(r) for r in one_by_one], name
+
+    def test_bound_map_fingerprinted_once_per_call(self, monkeypatch):
+        calls = []
+        fingerprints = criteria.outcome_string_fingerprints
+        monkeypatch.setattr(criteria, "outcome_string_fingerprints",
+                            lambda *args: (calls.append(args), fingerprints(*args))[1])
+        for asm, bob, priors in self.every_string_cases().values():
+            calls.clear()
+            steering_fine_grained(asm, bob, None, priors, fine_grained_bound_map(bob, priors))
+            assert len(calls) == 1
+
+    def test_outcome_string_of_another_length_rejected(self):
+        asm = steer(bell_phi_plus(), XZ_POVMS)
+        with pytest.raises(DimensionMismatch):
+            steering_fine_grained(asm, XZ_POVMS, ("+",), HALF, xz_bound_map())
 
 
 class TestSteeringTensorPath:
