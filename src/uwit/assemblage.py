@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class Assemblage:
 
     ``outcomes`` maps each setting to its distinct outcome labels and
     ``stacks`` to the read-only (n, d, d) stack of Bob's operators in label
-    order; the settings and Bob's dimension are derived.
+    order; the settings and Bob's dimension are derived once, on first use.
     """
 
     outcomes: Mapping[int, tuple[str, ...]]
@@ -57,6 +58,8 @@ class Assemblage:
             if bad.any():
                 raise BadParameter(f"element trace {traces[bad][0]:.6f} outside [0, 1]")
             outcomes[setting], stacks[setting] = labels, _frozen(ops)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "stacks", stacks)
         if len({ops.shape[-1] for ops in stacks.values()}) > 1:
             raise DimensionMismatch("element dimension differs from bob_dim")
         first, *rest = (ops.sum(axis=0) for ops in stacks.values())
@@ -67,14 +70,12 @@ class Assemblage:
                 raise BadParameter(
                     f"no-signaling violation: setting {setting} sums to a different reduced state"
                 )
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "stacks", stacks)
 
-    @property
+    @cached_property
     def settings(self) -> tuple[int, ...]:
         return tuple(self.outcomes)
 
-    @property
+    @cached_property
     def bob_dim(self) -> int:
         return self.stacks[self.settings[0]].shape[-1]
 

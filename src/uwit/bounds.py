@@ -95,18 +95,38 @@ def fingerprint_povms(povms: Sequence[Povm], extra: str = "") -> str:
     return _extended_digest(_measurement_hash(povms), extra)
 
 
-def outcome_string_fingerprints(povms: Sequence[Povm],
-                                strings: Sequence[tuple[str, ...]]) -> dict[tuple[str, ...], str]:
-    """``fingerprint_povms(povms, "|".join(s))`` for each outcome string ``s``.
+def outcome_string_fingerprints(povms: Sequence[Povm], strings: Sequence[tuple[str, ...]],
+                                priors: ProbVec) -> dict[tuple[str, ...], str]:
+    """``fingerprint_povms(povms, priors_hex + "|".join(s))`` for each outcome string ``s``.
 
-    The measurements are hashed once and the hash is extended by each string.
+    ``priors_hex`` is the exact prior values in hex, as a bound holds only
+    under its own priors.  The measurements are hashed once, then extended.
     """
     base = _measurement_hash(povms)
-    return {labels: _extended_digest(base, "|".join(labels)) for labels in strings}
+    key = priors.values.tobytes().hex()
+    return {labels: _extended_digest(base, key + "|".join(labels)) for labels in strings}
+
+
+def _product_fingerprint(meas_a: Sequence[Povm], meas_b: Sequence[Povm], events,
+                         priors: ProbVec) -> str:
+    """The key of a product-state bound: both sides, the exact priors in hex and the events."""
+    return fingerprint_povms([*meas_a, *meas_b], priors.values.tobytes().hex() + repr(events))
+
+
+PROVEN_METHODS = frozenset({ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES, ANALYTIC_TOP1,
+                            EIGEN_EXACT, ANALYTIC_PRODUCT})
+
+
+class _Certifiable:
+    """The one certification rule: a proven method, or a numeric bound inflated by a slack."""
+
+    @property
+    def certified(self) -> bool:
+        return self.method in PROVEN_METHODS or self.certified_slack > 0.0
 
 
 @dataclass(frozen=True)
-class BoundVector:
+class BoundVector(_Certifiable):
     """Majorization bound omega for a measurement set."""
 
     omega: ProbVec
@@ -114,19 +134,12 @@ class BoundVector:
     measurement_fingerprint: str
     certified_slack: float
 
-    @property
-    def certified(self) -> bool:
-        return (self.method in (ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES, ANALYTIC_TOP1)
-                or self.certified_slack > 0.0)
-
 
 @dataclass(frozen=True, eq=False)
-class FineGrainedBound:
-    """Largest achievable prior-weighted hit probability for one outcome string."""
+class FineGrainedBound(_Certifiable):
+    """Largest prior-weighted hit probability, keyed by measurements, outcomes and exact priors."""
 
     value: float
-    outcome_string: tuple[str, ...]
-    priors: ProbVec
     operator_norm_witness: np.ndarray
     measurement_fingerprint: str
     method: str
@@ -135,10 +148,6 @@ class FineGrainedBound:
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0 + 1e-9:
             raise BadParameter(f"bound value {self.value} outside (0, 1]")
-
-    @property
-    def certified(self) -> bool:
-        return self.method in (EIGEN_EXACT, ANALYTIC_PRODUCT) or self.certified_slack > 0.0
 
 
 def _max_overlap(x: Observable, y: Observable) -> float:
@@ -426,9 +435,7 @@ def omega_numeric(meas: Sequence[Povm], restarts: int = 64, seed: int = 0) -> Bo
     dim = meas[0].dim
     if any(p.dim != dim for p in meas):
         raise DimensionMismatch("all measurements must act on one common dimension")
-    tensor_size = 1
-    for p in meas:
-        tensor_size *= p.n_outcomes
+    tensor_size = math.prod(p.n_outcomes for p in meas)
     if tensor_size > 10**6:
         raise BadParameter(f"tensor distribution with {tensor_size} entries is too large")
     d_out = max(p.n_outcomes for p in meas)
@@ -598,12 +605,10 @@ def _fine_grained_bounds(meas: Sequence[Povm], strings: Sequence[tuple[str, ...]
     rows = np.array([[_outcome_index(p, label) for p, label in zip(meas, labels)]
                      for labels in strings])
     values, vectors = _string_eigenpairs([p.effects for p in meas], priors.values, rows)
-    fingerprints = outcome_string_fingerprints(meas, strings)
+    fingerprints = outcome_string_fingerprints(meas, strings, priors)
     return {
         labels: FineGrainedBound(
             value=float(value),
-            outcome_string=labels,
-            priors=priors,
             operator_norm_witness=witness,
             measurement_fingerprint=fingerprints[labels],
             method=EIGEN_EXACT,
@@ -790,17 +795,10 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
         best = int(np.argmax(f))
         found = float(f[best]) + NUMERIC_SLACK, u[best], v[best]
     value, u, v = found
-    a_labels = tuple(lab for event in events for lab, _ in event)
-    b_labels = tuple(lab for event in events for _, lab in event)
     return FineGrainedBound(
         value=min(value, 1.0),
-        outcome_string=a_labels + b_labels,
-        priors=priors,
         operator_norm_witness=np.kron(u, v),
-        measurement_fingerprint=fingerprint_povms(
-            list(meas_a) + list(meas_b),
-            extra=repr(events),
-        ),
+        measurement_fingerprint=_product_fingerprint(meas_a, meas_b, events, priors),
         method=method,
         certified_slack=slack,
     )

@@ -95,6 +95,7 @@ MAX_SCAN_POINTS = 10_000
 MAX_REPORTS = 10**5      # reports of one criterion on one state
 MAX_ORACLE_SAMPLES = 10**6
 MAX_ORACLE_GRID = 10**6
+MAX_RESTARTS = 1_000     # per bound; a product ascent holds a d x d matrix per restart
 
 _REQUIRED = object()
 _JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--csv", metavar="PATH", help="write scan results as CSV to PATH")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--restarts", type=int, default=64,
-                        help="restarts for numeric bound optimization (default 64)")
+                        help=f"restarts per numeric bound, 1 to {MAX_RESTARTS} (default 64)")
     parser.add_argument("--state", default=None,
                         help="override the scenario state (family reference)")
     parser.add_argument("--quiet", action="store_true", help="suppress the text report")
@@ -393,6 +394,8 @@ def run(path_or_preset: str, json_path: str | None = None, csv_path: str | None 
     seed = seed if seed is not None else _field(config, "seed", int, 0)
     if seed < 0:
         raise ConfigParse(f"seed must be non-negative, got {seed}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ConfigParse(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
     kind = _field(config, "scenario_kind", default=None)
     reports: list[DetectionReport] = []
     payload: dict = {

@@ -38,6 +38,7 @@ from .bounds import (
     FineGrainedBound,
     _fine_grained_terms,
     _pair_events,
+    _product_fingerprint,
     fine_grained_bound_map,
     fingerprint_povms,
     outcome_string_fingerprints,
@@ -167,6 +168,8 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
 
     The lhs is the prior-weighted probability of the configured joint outcome
     events; exceeding the product-state maximum certifies entanglement.
+    ``bound`` is keyed by these measurements, events and exact priors, so a
+    bound built under other priors raises.
     """
     if state.dims is None:
         raise DimensionMismatch("state needs a bipartite factorization")
@@ -174,8 +177,7 @@ def entanglement_fine_grained(state: DensityState, meas_a: Sequence[Povm],
     if meas_a[0].dim != da or meas_b[0].dim != db:
         raise DimensionMismatch("measurement dimensions do not match the state factors")
     events = _pair_events(meas_a, meas_b, outcomes)
-    expected = fingerprint_povms(list(meas_a) + list(meas_b), extra=repr(events))
-    if bound.measurement_fingerprint != expected:
+    if bound.measurement_fingerprint != _product_fingerprint(meas_a, meas_b, events, priors):
         raise FingerprintMismatch(
             "bound was not generated from these measurements, outcomes and priors"
         )
@@ -211,8 +213,10 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
 
     ``bounds`` maps every one of Bob's outcome strings (tuples of labels) to
     its :class:`FineGrainedBound`, as :func:`fine_grained_bound_map` builds
-    it.  A local-hidden-state model reaches any string in any column, so
-    every column is checked against the largest of these bounds.
+    it under ``priors_bob``; each is keyed by Bob's measurements, its string
+    and the exact priors, so a bound built under other priors, however
+    close, raises.  A local-hidden-state model reaches any string in any
+    column, so every column is checked against the largest of these bounds.
     """
     m = len(bob_meas)
     settings = asm.settings
@@ -244,22 +248,15 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
     if not isinstance(bounds, Mapping):
         raise BadParameter("bounds must map every Bob outcome string to its bound")
     bound_map = {tuple(k): v for k, v in bounds.items()}
-    fingerprints = outcome_string_fingerprints(bob_meas, strings)
+    fingerprints = outcome_string_fingerprints(bob_meas, strings, priors_bob)
     used = []
     for labels in strings:
         if labels not in bound_map:
             raise BadParameter(f"no bound supplied for outcome string {labels}")
         if bound_map[labels].measurement_fingerprint != fingerprints[labels]:
-            raise FingerprintMismatch(
-                f"bound for {labels} was not generated from Bob's measurements and that string"
-            )
+            raise FingerprintMismatch(f"bound for {labels} was not generated from Bob's "
+                                      "measurements, that string and these priors")
         used.append(bound_map[labels])
-    # np.allclose(bound priors, priors_bob, atol=1e-12) for every bound at once
-    tol = 1e-12 + 1e-5 * np.abs(priors_bob.values)
-    if any(b.priors.dim != priors_bob.dim for b in used) or not (
-        np.abs(np.array([b.priors.values for b in used]) - priors_bob.values) <= tol
-    ).all():
-        raise FingerprintMismatch("bound was generated under different priors")
     bound_value = max(b.value for b in used)
     certified = all(b.certified for b in used)
     # traces[a, b] = tr(E_{i,b} sigma_{i,a}) is taken once per setting i, and
@@ -282,17 +279,15 @@ def steering_fine_grained(asm: Assemblage, bob_meas: Sequence[Povm],
             for w, score, a in zip(weights, row_scores, alice_string):
                 lhs += w * score[a]
             margin = lhs - bound_value
-            reports.append(
-                DetectionReport(
-                    criterion="steering_fine_grained",
-                    lhs_value=float(lhs),
-                    bound_value=float(bound_value),
-                    margin=float(margin),
-                    verdict=_verdict(margin),
-                    certified=certified,
-                    column=prefix + alice_text,
-                )
-            )
+            reports.append(DetectionReport(
+                criterion="steering_fine_grained",
+                lhs_value=float(lhs),
+                bound_value=float(bound_value),
+                margin=float(margin),
+                verdict=_verdict(margin),
+                certified=certified,
+                column=prefix + alice_text,
+            ))
     return reports
 
 

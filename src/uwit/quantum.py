@@ -7,9 +7,10 @@ are validated together, and ``born_stats`` measures either one.  A POVM keeps
 its effects as the one read-only (n, d, d) stack the Born rule reads.  An
 observable is the POVM of its orthogonal eigenprojectors, with their
 eigenvalues, so it serves wherever a POVM does; its matrix is derived from
-them.  This module owns the Born rule: every tr(E X) of the package (Born,
+them.  Every tr(E X) of the package on a state or operator stack X (Born,
 joint and conditional statistics, steered operators, correlation tensors) is
-one of its two einsum contractions.  Every matrix is limited to dimension
+one of this module's two einsum contractions; ``bounds.tensor_stats`` takes
+pure-state statistics as one matmul.  Every matrix is limited to dimension
 ``MAX_DIM`` = 64, where a dense symmetric eigensolver is exact for all
 practical purposes; the named state and basis builders check that limit
 before they allocate.  The named measurement sets (``pauli_observable``,

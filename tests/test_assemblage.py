@@ -74,6 +74,11 @@ class TestSteer:
                 total = sum(asm.element(setting, o) for o in asm.outcomes[setting])
                 assert np.max(np.abs(total - expected)) < 1e-8
 
+    def test_settings_and_bob_dim_derived_once(self):
+        asm = steer(bell_phi_plus(), [SX.povm(), SZ.povm()])
+        assert asm.settings is asm.settings and asm.settings == (0, 1)
+        assert asm.bob_dim == 2
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             steer(maximally_mixed(4), [SZ.povm()])

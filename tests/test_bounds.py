@@ -45,14 +45,19 @@ from uwit.bounds import (
     ANALYTIC_TWO_BASES,
     ANALYTIC_TWO_DICHOTOMIC,
     CLOSED_FORM_MARGIN,
+    EIGEN_EXACT,
     NUMERIC_SLACK,
     NUMERIC_TOPK,
+    PROVEN_METHODS,
+    BoundVector,
+    FineGrainedBound,
     _alternate,
     _ascend_topk,
     _concave_majorant_increments,
     _max_topk,
     _omega_from_cumulative,
     _overlap_norms,
+    _pair_events,
     flat_effects,
     outcome_string_fingerprints,
     tensor_stats,
@@ -334,13 +339,14 @@ class TestOmegaTwoBases:
         with pytest.raises(DimensionMismatch):
             omega_two_bases(SX, mub_bases(3, 2)[0])
 
-    def test_cli_uses_the_closed_form_for_two_bases(self, tmp_path):
+    def test_cli_uses_the_closed_form_for_two_bases(self, tmp_path, monkeypatch):
         report = tmp_path / "report.json"
         config = tmp_path / "bound.json"
         config.write_text(json.dumps({"scenario_kind": "bound_only",
                                       "measurements": {"meas": "mub:3:2"}}))
-        # no ascent runs, so no restarts are needed
-        assert cli.run(str(config), json_path=str(report), restarts=0, quiet=True) == 0
+        # no ascent runs: the numeric path is never reached
+        monkeypatch.setattr(cli, "omega_numeric", lambda *a, **k: pytest.fail("ascent ran"))
+        assert cli.run(str(config), json_path=str(report), restarts=1, quiet=True) == 0
         payload = json.loads(report.read_text())["bound_vector"]
         assert payload["method"] == ANALYTIC_TWO_BASES
         assert payload["omega"] == list(omega_two_bases(*mub_bases(3, 2)).omega.values)
@@ -998,6 +1004,20 @@ class TestFineGrainedProduct:
         assert fb.value == pytest.approx(0.5, abs=1e-5)
 
 
+class TestCertification:
+    def test_one_rule_for_both_bound_kinds(self):
+        assert BoundVector.certified is FineGrainedBound.certified
+        witness = np.ones(1)
+        for method in (*PROVEN_METHODS, NUMERIC_TOPK, ALTERNATING_NUMERIC):
+            for slack in (0.0, NUMERIC_SLACK):
+                expected = method in PROVEN_METHODS or slack > 0.0
+                vector = BoundVector(uniform(2), method, "", slack)
+                fine = FineGrainedBound(0.5, witness, "", method, slack)
+                assert vector.certified == fine.certified == expected
+        assert PROVEN_METHODS == {ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES, ANALYTIC_TOP1,
+                                  EIGEN_EXACT, ANALYTIC_PRODUCT}
+
+
 class TestFingerprints:
     def test_same_measurements_same_fingerprint(self):
         b1 = omega_two_dichotomic(SX, SY)
@@ -1025,13 +1045,21 @@ class TestFingerprints:
             for extra in ("", "x", "[[('+', '0')]]"):
                 assert fingerprint_povms(meas, extra) == reference(meas, extra)
             strings = list(itertools.product(*(p.outcome_labels for p in meas)))
-            fingerprints = outcome_string_fingerprints(meas, strings)
-            assert fingerprints == {s: reference(meas, "|".join(s)) for s in strings}
-            priors = uniform(len(meas))
-            for labels, bound in fine_grained_bound_map(meas, priors).items():
-                assert bound.measurement_fingerprint == reference(meas, "|".join(labels))
-            assert (fine_grained_bound(meas, strings[-1], priors).measurement_fingerprint
-                    == reference(meas, "|".join(strings[-1])))
+            # a fine-grained key is the exact priors' hex digits, then the string
+            for priors in (uniform(len(meas)), make_probvec([1.0] + [0.0] * (len(meas) - 1))):
+                key = priors.values.tobytes().hex()
+                fingerprints = outcome_string_fingerprints(meas, strings, priors)
+                assert fingerprints == {s: reference(meas, key + "|".join(s)) for s in strings}
+                for labels, bound in fine_grained_bound_map(meas, priors).items():
+                    assert bound.measurement_fingerprint == fingerprints[labels]
+                assert (fine_grained_bound(meas, strings[-1], priors).measurement_fingerprint
+                        == fingerprints[strings[-1]])
+        # a product bound's key: both sides, the priors' hex digits, then the events
+        xz, priors = [SX.povm(), SZ.povm()], make_probvec((0.5, 0.0, 0.0, 0.5))
+        bound = fine_grained_bound_product(xz, xz, (("+", "0"), ("+", "0")), priors, restarts=4)
+        events = repr(_pair_events(xz, xz, (("+", "0"), ("+", "0"))))
+        assert bound.measurement_fingerprint == reference(
+            xz + xz, priors.values.tobytes().hex() + events)
 
     def test_bytes_built_once_per_measurement(self):
         povm = mub_bases(3, 2)[0]

@@ -672,6 +672,18 @@ def test_oversized_request_exits_1(tmp_path, capsys, monkeypatch, name):
     assert err.count("\n") == 1 and f"limit of {cli.MAX_REPORTS}" in err
 
 
+@pytest.mark.parametrize("restarts", [0, -3, cli.MAX_RESTARTS + 1, 10**12])
+def test_restarts_out_of_range_exit_1(capsys, monkeypatch, restarts):
+    def no_criterion(*args):
+        raise AssertionError("a criterion was built for an out-of-range restart count")
+
+    monkeypatch.setattr(cli, "_criterion", no_criterion)
+    assert main(["preset:paper-eq12", "--restarts", str(restarts)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"between 1 and {cli.MAX_RESTARTS}" in err
+
+
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_config_exits_1(tmp_path, capsys, name):
     base, path, value = MALFORMED[name]

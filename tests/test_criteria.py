@@ -44,7 +44,7 @@ from uwit.bounds import (
     ANALYTIC_PRODUCT,
     NUMERIC_SLACK,
     _pair_events,
-    fingerprint_povms,
+    _product_fingerprint,
 )
 from uwit.criteria import DETECTION_MARGIN
 from uwit.oracle import random_lhs_fixture, threshold_scan
@@ -271,6 +271,22 @@ class TestEntanglementFineGrained:
             )
 
 
+    def test_bound_of_other_priors_rejected(self):
+        # under (1, 0, 0, 0) |+>|+> scores 1, above the x/z singleton bound
+        # for (1/2, 0, 0, 1/2): that pairing would certify a product state
+        plus = DensityState(projector(np.array([1.0, 1.0]) / np.sqrt(2)))
+        state = kron_state(plus, plus)
+        outcomes = (("+", "0"), ("+", "0"))
+        bound = fine_grained_bound_product(
+            XZ_POVMS, XZ_POVMS, outcomes, make_probvec((0.5, 0.0, 0.0, 0.5)), restarts=8, seed=3)
+        assert bound.value < 0.73
+        priors = make_probvec((1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(FingerprintMismatch):
+            entanglement_fine_grained(state, XZ_POVMS, XZ_POVMS, outcomes, priors, bound)
+        own = fine_grained_bound_product(XZ_POVMS, XZ_POVMS, outcomes, priors, restarts=8, seed=3)
+        report = entanglement_fine_grained(state, XZ_POVMS, XZ_POVMS, outcomes, priors, own)
+        assert report.lhs_value == pytest.approx(1.0, abs=1e-12) and not report.detected
+
     def test_unknown_label_on_a_zero_weight_pair(self):
         meas = XZ_POVMS
         priors = make_probvec((0.5, 0.0, 0.0, 0.5))
@@ -281,8 +297,8 @@ class TestEntanglementFineGrained:
         with pytest.raises(BadParameter):
             fine_grained_bound_product(meas, meas, events, priors, restarts=4, seed=7)
         # a bound whose fingerprint matches these events reaches the lhs sum
-        bound = dataclasses.replace(good, measurement_fingerprint=fingerprint_povms(
-            list(meas) * 2, extra=repr(_pair_events(meas, meas, events))))
+        bound = dataclasses.replace(good, measurement_fingerprint=_product_fingerprint(
+            meas, meas, _pair_events(meas, meas, events), priors))
         with pytest.raises(BadParameter):
             entanglement_fine_grained(bell_phi_plus(), meas, meas, events, priors, bound)
 
@@ -378,18 +394,34 @@ class TestSteeringFineGrained:
 
     def test_bounds_of_other_priors_or_measurements_rejected(self):
         asm = steer(bell_phi_plus(), XZ_POVMS)
-        # np.allclose(atol=1e-12, rtol=1e-5) on the priors: a 1e-6 shift
-        # passes, a 1e-4 shift in any one string's bound does not
-        near = fine_grained_bound_map(XZ_POVMS, make_probvec((0.5 + 1e-6, 0.5 - 1e-6)))
-        assert len(steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, near)) == 4
-        far = fine_grained_bound_map(XZ_POVMS, make_probvec((0.5001, 0.4999)))
-        for bounds in (far, xz_bound_map() | {("-", "1"): far[("-", "1")]}):
-            with pytest.raises(FingerprintMismatch, match="different priors"):
-                steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
+        # the priors are keyed exactly: a 1e-6 shift in any one string's bound
+        # raises as a 1e-4 shift does
+        assert len(steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, xz_bound_map())) == 4
+        for shift in (1e-6, 1e-4):
+            other = fine_grained_bound_map(XZ_POVMS, make_probvec((0.5 + shift, 0.5 - shift)))
+            for bounds in (other, xz_bound_map() | {("-", "1"): other[("-", "1")]}):
+                with pytest.raises(FingerprintMismatch, match="these priors"):
+                    steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
         bounds = xz_bound_map()
         bounds[("-", "1")] = dataclasses.replace(bounds[("-", "1")], measurement_fingerprint="0")
         with pytest.raises(FingerprintMismatch, match=r"\('-', '1'\)"):
             steering_fine_grained(asm, XZ_POVMS, ("+", "0"), HALF, bounds)
+
+    def test_bound_map_of_nearby_priors_rejected(self):
+        # a map built 2.9e-6 off the priors sits below the true bound, and an
+        # LHS assemblage at the best string's witness would clear it
+        priors = make_probvec((0.3, 0.7))
+        own = fine_grained_bound_map(XZ_POVMS, priors)
+        near = fine_grained_bound_map(XZ_POVMS, make_probvec((0.3 + 2.9e-6, 0.7 - 2.9e-6)))
+        best = max(own.values(), key=lambda b: b.value)
+        assert max(b.value for b in near.values()) < best.value - DETECTION_MARGIN
+        hidden = DensityState(projector(best.operator_norm_witness))
+        asm = lhs_assemblage([(1.0, hidden)], [[[1.0, 0.0], [1.0, 0.0]]])
+        with pytest.raises(FingerprintMismatch):
+            steering_fine_grained(asm, XZ_POVMS, None, priors, near)
+        reports = steering_fine_grained(asm, XZ_POVMS, None, priors, own)
+        assert max(r.lhs_value for r in reports) == pytest.approx(best.value, abs=1e-9)
+        assert not any(r.detected for r in reports)
 
     def test_unknown_outcome_label_rejected(self):
         asm = steer(bell_phi_plus(), XZ_POVMS)
