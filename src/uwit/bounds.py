@@ -40,13 +40,27 @@ Closed-form entries are rounded outward by half of ``CLOSED_FORM_MARGIN``.
 Numeric bounds are inflated by a small slack, ``NUMERIC_SLACK``, before
 use; an ascent can still end below the true maximum, so that slack does
 not prove them.
+
+A bound depends on the measurement set alone, so the five seed-free spectral
+kernels (``_string_eigenpairs``, ``_top1_closed_form``, ``_top2_cap``,
+``_overlap_norms`` and ``_product_closed_form``) keep their results in one
+least-recently-used memo, and a repeated request skips their eigensolves.
+Its key is a SHA-256 digest of the kernel's name, ``_BLOCK_ENTRIES`` (the
+one budget they read) and its arguments: the length-prefixed dtype, shape
+and bytes of each array, and a measurement's ``fingerprint_bytes``.  It is
+not a provenance fingerprint.  Cached arrays are read-only; the memo
+holds at most ``_MEMO_ENTRIES`` results and ``_MEMO_BYTES`` bytes of their
+arrays, and drops the least recently used first.  The seeded ascents
+(``_max_topk``, ``_alternate``) are never memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,7 +73,7 @@ from .errors import (
     NoConvergence,
 )
 from .probvec import ProbVec, tensor_rows
-from .quantum import Observable, Povm, _outcome_index, _traces, random_ket
+from .quantum import Observable, Povm, _frozen, _outcome_index, _traces, random_ket
 
 NUMERIC_SLACK = 1e-6     # added to optimized bounds before certification
 STEP_TOL = 1e-10         # ascent terminates when an iteration gains less than this
@@ -97,20 +111,27 @@ def fingerprint_povms(povms: Sequence[Povm], extra: str = "") -> str:
 
 def outcome_string_fingerprints(povms: Sequence[Povm], strings: Sequence[tuple[str, ...]],
                                 priors: ProbVec) -> dict[tuple[str, ...], str]:
-    """``fingerprint_povms(povms, priors_hex + "|".join(s))`` for each outcome string ``s``.
+    """``fingerprint_povms(povms, priors_hex + repr(tuple(s)))`` for each outcome string ``s``.
 
     ``priors_hex`` is the exact prior values in hex, as a bound holds only
-    under its own priors.  The measurements are hashed once, then extended.
+    under its own priors; the repr quotes each label, so no two strings
+    share a key.  The measurements are hashed once, then extended.
     """
     base = _measurement_hash(povms)
     key = priors.values.tobytes().hex()
-    return {labels: _extended_digest(base, key + "|".join(labels)) for labels in strings}
+    return {labels: _extended_digest(base, key + repr(tuple(labels))) for labels in strings}
 
 
 def _product_fingerprint(meas_a: Sequence[Povm], meas_b: Sequence[Povm], events,
                          priors: ProbVec) -> str:
-    """The key of a product-state bound: both sides, the exact priors in hex and the events."""
-    return fingerprint_povms([*meas_a, *meas_b], priors.values.tobytes().hex() + repr(events))
+    """The key of a product-state bound: Bob's side, then Alice's digest, the priors and events.
+
+    Alice's side enters as its own fixed-length digest, so moving a
+    measurement from one party to the other changes the key; the priors
+    are their exact values in hex.
+    """
+    extra = _measurement_hash(meas_a).hexdigest() + priors.values.tobytes().hex() + repr(events)
+    return fingerprint_povms(meas_b, extra)
 
 
 PROVEN_METHODS = frozenset({ANALYTIC_TWO_DICHOTOMIC, ANALYTIC_TWO_BASES, ANALYTIC_TOP1,
@@ -148,6 +169,82 @@ class FineGrainedBound(_Certifiable):
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0 + 1e-9:
             raise BadParameter(f"bound value {self.value} outside (0, 1]")
+
+
+# the memo of the seed-free kernels holds at most this many results (a set
+# takes one to three), with at most this many bytes of arrays among them: the
+# 16 MiB of one _BLOCK_ENTRIES budget of complex entries
+_MEMO_ENTRIES = 256
+_MEMO_BYTES = 2**24
+
+
+class _Memo(OrderedDict):
+    """Kernel results by input digest, least recently used first, and the bytes of their arrays."""
+
+    nbytes = 0
+
+    def store(self, key: bytes, result, nbytes: int) -> None:
+        """Keep ``result`` unless its arrays alone, ``nbytes`` of them, exceed the bound."""
+        if nbytes > _MEMO_BYTES:
+            return
+        self[key] = result, nbytes
+        self.nbytes += nbytes
+        while len(self) > _MEMO_ENTRIES or self.nbytes > _MEMO_BYTES:
+            self.nbytes -= self.popitem(last=False)[1][1]
+
+
+_MEMO = _Memo()
+
+
+def _digest(*args) -> bytes:
+    """SHA-256 of kernel arguments, each part prefixed by its length.
+
+    An array adds its dtype and shape, then its bytes; a measurement its
+    ``fingerprint_bytes``; a list or tuple its length, then each item;
+    anything else its repr.
+    """
+    parts = []
+
+    def add(x) -> None:
+        if isinstance(x, Povm):
+            parts.append(x.fingerprint_bytes)
+        elif isinstance(x, np.ndarray):
+            parts.extend((f"{x.dtype.str}{x.shape}".encode(), x.tobytes()))
+        elif isinstance(x, (list, tuple)):
+            parts.append(f"[{len(x)}]".encode())
+            for item in x:
+                add(item)
+        else:
+            parts.append(repr(x).encode())
+
+    add(args)
+    return hashlib.sha256(b"".join(len(p).to_bytes(8, "little") + p for p in parts)).digest()
+
+
+def _memoized(kernel):
+    """Keep ``kernel``'s results in ``_MEMO``, keyed by its name, ``_BLOCK_ENTRIES`` and arguments.
+
+    Only for kernels that read nothing else and draw no random numbers, so a
+    hit returns what a miss computes.  Every array of a result, hit or miss,
+    is read-only.
+    """
+    @functools.wraps(kernel)
+    def memoized(*args):
+        key = _digest(kernel.__name__, _BLOCK_ENTRIES, *args)
+        if key in _MEMO:
+            _MEMO.move_to_end(key)
+            return _MEMO[key][0]
+        result = kernel(*args)
+        # a result is a scalar, None or a tuple of scalars and arrays that
+        # the kernel has just made, so no one else can write to them
+        parts = result if isinstance(result, tuple) else ()
+        arrays = [x for x in parts if isinstance(x, np.ndarray)]
+        for x in arrays:
+            x.setflags(write=False)
+        _MEMO.store(key, result, sum(x.nbytes for x in arrays))
+        return result
+
+    return memoized
 
 
 def _max_overlap(x: Observable, y: Observable) -> float:
@@ -353,6 +450,7 @@ def _omega_from_cumulative(cumulative: Sequence[float], tensor_size: int) -> Pro
     return ProbVec(omega)
 
 
+@_memoized
 def _string_eigenpairs(stacks: Sequence[np.ndarray], weights: Sequence[float],
                        strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpairs of sum_i weights[i] E_{i, s_i}, one for each row s of ``strings``.
@@ -373,6 +471,7 @@ def _string_eigenpairs(stacks: Sequence[np.ndarray], weights: Sequence[float],
     return np.concatenate(values), np.concatenate(vectors)
 
 
+@_memoized
 def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> tuple[float, bool] | None:
     """The top-1 cap from the uniform fine-grained bound, and whether a witness state attains it.
 
@@ -387,13 +486,15 @@ def _top1_closed_form(effects: np.ndarray, sizes: Sequence[int]) -> tuple[float,
         return None
     stacks = np.split(effects.reshape(-1, d, d), np.cumsum(sizes)[:-1])
     strings = np.indices(sizes).reshape(m, -1).T
-    values, vectors = _string_eigenpairs(stacks, np.ones(m), strings)
+    # the undecorated kernel: this function's own memo entry covers it
+    values, vectors = _string_eigenpairs.__wrapped__(stacks, np.ones(m), strings)
     best = int(values.argmax())
     entry = float((values[best] / m) ** m) + CLOSED_FORM_MARGIN / 2.0
     witness = tensor_stats(vectors[best][None], effects, sizes)[1].max()
     return entry, bool(witness >= entry - CLOSED_FORM_MARGIN)
 
 
+@_memoized
 def _top2_cap(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
     """A proven cap on every state's top-2 sum, or None where it exceeds ``_BLOCK_ENTRIES``.
 
@@ -411,8 +512,8 @@ def _top2_cap(effects: np.ndarray, sizes: Sequence[int]) -> float | None:
         # s with E_{j,a}, a > s_j, from an (m + 1)-th stack of every effect
         string, a = np.nonzero(strings[:, j, None] < np.arange(n))
         rows.append(np.column_stack((strings[string], offsets[j] + a)))
-    values = _string_eigenpairs([*stacks, effects.reshape(-1, d, d)], np.ones(m + 1),
-                                np.concatenate(rows))[0]
+    values = _string_eigenpairs.__wrapped__(
+        [*stacks, effects.reshape(-1, d, d)], np.ones(m + 1), np.concatenate(rows))[0]
     return float((values.max() / m) ** m) + CLOSED_FORM_MARGIN / 2.0
 
 
@@ -525,6 +626,7 @@ def _block_norms(u: np.ndarray, k: int) -> float:
     return best
 
 
+@_memoized
 def _overlap_norms(x: Observable, y: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Largest norms of the blocks of the eigenbasis overlaps, for k = 1 .. d - 1.
 
@@ -729,6 +831,7 @@ def _alternate(u: np.ndarray, v: np.ndarray, weights: np.ndarray, effects_a: np.
     raise NoConvergence(f"alternating ascent still improving after {maxiter} iterations")
 
 
+@_memoized
 def _product_closed_form(weights: np.ndarray, effects_a: np.ndarray,
                          effects_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The Hilbert-Schmidt product bound and witness kets for (T, d^2) flat term effects.
@@ -797,7 +900,7 @@ def fine_grained_bound_product(meas_a: Sequence[Povm], meas_b: Sequence[Povm],
     value, u, v = found
     return FineGrainedBound(
         value=min(value, 1.0),
-        operator_norm_witness=np.kron(u, v),
+        operator_norm_witness=_frozen(np.kron(u, v)),
         measurement_fingerprint=_product_fingerprint(meas_a, meas_b, events, priors),
         method=method,
         certified_slack=slack,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -13,8 +14,10 @@ from uwit import (
     DensityState,
     DimensionMismatch,
     NoConvergence,
+    Observable,
     Povm,
     bell_phi_plus,
+    bloch_observable,
     born_stats,
     brute_force_topk,
     fine_grained_bound,
@@ -1045,21 +1048,33 @@ class TestFingerprints:
             for extra in ("", "x", "[[('+', '0')]]"):
                 assert fingerprint_povms(meas, extra) == reference(meas, extra)
             strings = list(itertools.product(*(p.outcome_labels for p in meas)))
-            # a fine-grained key is the exact priors' hex digits, then the string
+            # a fine-grained key is the exact priors' hex digits, then the string's repr
             for priors in (uniform(len(meas)), make_probvec([1.0] + [0.0] * (len(meas) - 1))):
                 key = priors.values.tobytes().hex()
                 fingerprints = outcome_string_fingerprints(meas, strings, priors)
-                assert fingerprints == {s: reference(meas, key + "|".join(s)) for s in strings}
+                assert fingerprints == {s: reference(meas, key + repr(s)) for s in strings}
                 for labels, bound in fine_grained_bound_map(meas, priors).items():
                     assert bound.measurement_fingerprint == fingerprints[labels]
                 assert (fine_grained_bound(meas, strings[-1], priors).measurement_fingerprint
                         == fingerprints[strings[-1]])
-        # a product bound's key: both sides, the priors' hex digits, then the events
+        # a product bound's key: Bob's side, then Alice's own digest, the
+        # priors' hex digits and the events
         xz, priors = [SX.povm(), SZ.povm()], make_probvec((0.5, 0.0, 0.0, 0.5))
         bound = fine_grained_bound_product(xz, xz, (("+", "0"), ("+", "0")), priors, restarts=4)
         events = repr(_pair_events(xz, xz, (("+", "0"), ("+", "0"))))
         assert bound.measurement_fingerprint == reference(
-            xz + xz, priors.values.tobytes().hex() + events)
+            xz, reference(xz) + priors.values.tobytes().hex() + events)
+
+    def test_labels_containing_the_old_separator_get_distinct_keys(self):
+        # joined with "|", ("a|b", "c") and ("a", "b|c") were one key
+        a = Povm(SZ.effects, ("a|b", "a"))
+        b = Povm(SX.effects, ("c", "b|c"))
+        strings = [("a|b", "c"), ("a", "b|c")]
+        keys = outcome_string_fingerprints([a, b], strings, uniform(2))
+        assert keys[strings[0]] != keys[strings[1]]
+        bounds_map = fine_grained_bound_map([a, b], uniform(2))
+        assert (bounds_map[strings[0]].measurement_fingerprint
+                != bounds_map[strings[1]].measurement_fingerprint)
 
     def test_bytes_built_once_per_measurement(self):
         povm = mub_bases(3, 2)[0]
@@ -1077,3 +1092,140 @@ class TestFingerprints:
                     [born_stats(state, a.povm()), born_stats(state, b.povm())]
                 )
                 assert majorized_by(stats, bound.omega)
+
+
+MEMOIZED_KERNELS = ("_string_eigenpairs", "_top1_closed_form", "_top2_cap", "_overlap_norms",
+                    "_product_closed_form")
+
+
+def every_bound(meas):
+    """Every bound the builders give one set, as comparable fields.
+
+    Its vector, the two-bases vector where it applies, its uniform
+    fine-grained map and its matched product bound, each as the method, the
+    fingerprint, the slack and the bytes of its values and witness.
+    """
+    built = [omega_numeric(meas, restarts=4, seed=0)]
+    if len(meas) == 2 and all(isinstance(p, Observable) and p.nondegenerate for p in meas):
+        built.append(omega_two_bases(*meas))
+    built += fine_grained_bound_map(meas, uniform(len(meas))).values()
+    built.append(fine_grained_bound_product(*matched_request(meas), restarts=4, seed=0))
+    return [(b.method, b.measurement_fingerprint, b.certified_slack,
+             b.omega.values.tobytes() if isinstance(b, BoundVector)
+             else (b.value, b.operator_norm_witness.tobytes())) for b in built]
+
+
+def unit_vectors(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.fixture
+def counted_kernels(monkeypatch):
+    """An empty memo, and every memoized kernel decorated afresh around a call log."""
+    monkeypatch.setattr(bounds, "_MEMO", bounds._Memo())
+    calls = []
+    for name in MEMOIZED_KERNELS:
+        kernel = getattr(bounds, name).__wrapped__
+
+        @functools.wraps(kernel)
+        def counted(*args, kernel=kernel):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        monkeypatch.setattr(bounds, name, bounds._memoized(counted))
+    return calls
+
+
+class TestKernelMemo:
+    @pytest.mark.parametrize("name", KERNEL_SETS)
+    def test_second_build_calls_no_kernel(self, name, counted_kernels, monkeypatch):
+        meas = KERNEL_SETS[name]
+        first = every_bound(meas)
+        assert counted_kernels
+        del counted_kernels[:]
+        second = every_bound(meas)
+        assert counted_kernels == []
+        # with nothing kept, every build runs every kernel: the same bits
+        monkeypatch.setattr(bounds, "_MEMO", bounds._Memo())
+        monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 0)
+        uncached = every_bound(meas)
+        assert counted_kernels and len(bounds._MEMO) == 0
+        assert first == second == uncached
+
+    def test_witnesses_and_cached_arrays_are_read_only(self, counted_kernels):
+        meas = KERNEL_SETS["mub:3:2"]
+        xz, priors = [SX.povm(), SZ.povm()], make_probvec((0.5, 0.0, 0.0, 0.5))
+        built = [*fine_grained_bound_map(meas, uniform(2)).values(),
+                 fine_grained_bound_product(*matched_request(xz), restarts=4, seed=0),
+                 # the x/z singletons take the ascent, whose result is not cached
+                 fine_grained_bound_product(xz, xz, (("+", "0"), ("+", "0")), priors, restarts=4)]
+        assert built[-2].method == ANALYTIC_PRODUCT and built[-1].method == ALTERNATING_NUMERIC
+        for bound in built:
+            with pytest.raises(ValueError):
+                bound.operator_norm_witness[0] = 0.0
+        s_line, _ = bounds._overlap_norms(*meas)
+        with pytest.raises(ValueError):
+            s_line[0] = 0.0
+        cached = [x for result, _ in bounds._MEMO.values()
+                  for x in (result if isinstance(result, tuple) else (result,))
+                  if isinstance(x, np.ndarray)]
+        assert len(cached) >= 6 and not any(x.flags.writeable for x in cached)
+
+    def test_a_flood_of_bloch_pairs_stays_within_the_bounds(self, counted_kernels, monkeypatch):
+        rng = np.random.default_rng(81)
+
+        def flood(pairs):
+            for a, b in unit_vectors(rng, 2 * pairs).reshape(pairs, 2, 3):
+                omega_two_dichotomic(bloch_observable(a), bloch_observable(b))
+
+        memo = bounds._MEMO
+        flood(bounds._MEMO_ENTRIES + 40)
+        assert len(counted_kernels) == bounds._MEMO_ENTRIES + 40
+        assert len(memo) == bounds._MEMO_ENTRIES
+        assert memo.nbytes == sum(n for _, n in memo.values()) <= bounds._MEMO_BYTES
+        # each pair caches two 1-entry arrays: 16 bytes
+        monkeypatch.setattr(bounds, "_MEMO_BYTES", 1000)
+        flood(20)
+        assert memo.nbytes == sum(n for _, n in memo.values()) <= 1000
+        assert len(memo) == 1000 // 16
+        # a result larger than the byte bound is not kept
+        monkeypatch.setattr(bounds, "_MEMO_BYTES", 15)
+        monkeypatch.setattr(bounds, "_MEMO", bounds._Memo())
+        flood(3)
+        assert len(bounds._MEMO) == 0 and bounds._MEMO.nbytes == 0
+
+    def test_a_lowered_budget_is_a_miss(self, counted_kernels, monkeypatch):
+        # the budget is part of the key, so a cached result never hides its check
+        meas = CAPPED_SETS["mub:3:3"]
+        assert library_top2(meas) is not None
+        rng = np.random.default_rng(52)
+        x, y = gue_observable(4, rng), gue_observable(4, rng)
+        exact = _overlap_norms(x, y)[1]
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 728)
+        assert library_top2(meas) is None
+        assert omega_numeric(meas, restarts=10, seed=0).method == NUMERIC_TOPK
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 143)
+        capped = _overlap_norms(x, y)[1]
+        assert capped[2] > exact[2] and np.array_equal(capped[:2], exact[:2])
+
+    def test_ascents_run_on_every_request(self, monkeypatch):
+        # omega_numeric on a random qutrit triple, as the parent commit of
+        # the memo computed it; seed 2's k = 1 ascent ends in another optimum
+        parent = {0: [0.6266819554224045, 0.19124848580284204, 0.1820695587747535],
+                  1: [0.6266819554221283, 0.19124848580273623, 0.18206955877513542],
+                  2: [0.6176025272036172, 0.2003279140216211, 0.18206955877476172]}
+        meas = gue_triple(0)
+        ascent, alternate, ran = bounds._max_topk, bounds._alternate, []
+        monkeypatch.setattr(bounds, "_max_topk", lambda *a: (ran.append("topk"), ascent(*a))[1])
+        monkeypatch.setattr(bounds, "_alternate", lambda *a: (ran.append("alt"), alternate(*a))[1])
+        for seed in (0, 1, 2, 0, 1, 2):
+            bound = omega_numeric(meas, restarts=10, seed=seed)
+            assert bound.method == NUMERIC_TOPK
+            assert np.max(np.abs(bound.omega.values[:3] - parent[seed])) <= 1e-9
+            assert np.array_equal(bound.omega.values, parent_omega(meas, 10, seed).values)
+        assert ran == ["topk"] * 6
+        xz, priors = [SX.povm(), SZ.povm()], make_probvec((0.5, 0.0, 0.0, 0.5))
+        for _ in range(2):
+            fine_grained_bound_product(xz, xz, (("+", "0"), ("+", "0")), priors, restarts=4)
+        assert ran[6:] == ["alt"] * 2

@@ -287,6 +287,25 @@ class TestEntanglementFineGrained:
         report = entanglement_fine_grained(state, XZ_POVMS, XZ_POVMS, outcomes, priors, own)
         assert report.lhs_value == pytest.approx(1.0, abs=1e-12) and not report.detected
 
+    def test_bound_of_another_split_rejected(self):
+        # Alice [Z, Z] with Bob [X], and Alice [Z] with Bob [Z, X], measure
+        # the same three bases; the second split's bound sits below what the
+        # product state |0>|+> scores under the first
+        z, x = (o.povm() for o in mub_bases(2, 2))
+        priors = make_probvec((0.5, 0.5))
+        events = [matched_outcome_events(z, x)] * 2
+        other = fine_grained_bound_product(
+            [z], [z, x], [matched_outcome_events(z, z), matched_outcome_events(z, x)], priors,
+            restarts=8, seed=0)
+        assert other.method == ALTERNATING_NUMERIC and other.value < 0.86
+        plus = DensityState(projector(np.array([1.0, 1.0]) / np.sqrt(2)))
+        state = kron_state(DensityState(projector(np.array([1.0, 0.0]))), plus)
+        with pytest.raises(FingerprintMismatch):
+            entanglement_fine_grained(state, [z, z], [x], events, priors, other)
+        own = fine_grained_bound_product([z, z], [x], events, priors, restarts=8, seed=0)
+        report = entanglement_fine_grained(state, [z, z], [x], events, priors, own)
+        assert report.lhs_value == pytest.approx(1.0, abs=1e-12) and not report.detected
+
     def test_unknown_label_on_a_zero_weight_pair(self):
         meas = XZ_POVMS
         priors = make_probvec((0.5, 0.0, 0.0, 0.5))
